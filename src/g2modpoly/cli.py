@@ -31,11 +31,16 @@ import time
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from mpmath import mp, mpf
+
 from .exactnum import (
+    DEFAULT_PREC,
+    WORK_GUARD,
     ComplexPoly,
     PrecisionError,
     complex_to_pair,
     format_rational,
+    horner,
     parse_rational,
     to_mpc,
     tolerance,
@@ -49,8 +54,6 @@ from . import modpoly as modpolymod
 
 Check = Dict[str, object]
 HandlerResult = Tuple[Dict[str, object], Dict[str, object], List[Check]]
-
-DEFAULT_PREC = 300
 
 
 def _check(name: str, passed: bool, detail: str) -> Check:
@@ -299,12 +302,12 @@ def _cmd_curve_transform(args) -> HandlerResult:
         same = before.as_tuple() == after.as_tuple()
         detail = "exact equality of absolute invariants"
     else:
-        from mpmath import mp, mpf
         p = curve.working_prec()
         tol = tolerance(p)
-        with mp.workprec(p + 64):
+        work = p + WORK_GUARD
+        with mp.workprec(work):
             worst = max(
-                abs(to_mpc(x, p + 64) - to_mpc(y, p + 64)) / max(mpf(1), abs(to_mpc(x, p + 64)))
+                abs(to_mpc(x, work) - to_mpc(y, work)) / max(mpf(1), abs(to_mpc(x, work)))
                 for x, y in zip(before.as_tuple(), after.as_tuple())
             )
         same = worst <= tol
@@ -358,8 +361,7 @@ def _cmd_modpoly_eval2(args) -> HandlerResult:
         denom_bound=args.denom_bound,
         prec_cap=args.prec_cap,
     )
-    from mpmath import mp
-    with mp.workprec(built.prec + 64):
+    with mp.workprec(built.prec + WORK_GUARD):
         monic = abs(built.p2.coeffs[-1] - 1) <= tolerance(built.prec)
     results = {
         "prec": built.prec,
@@ -425,12 +427,6 @@ def _cmd_modpoly_degprof(args) -> HandlerResult:
     if not den or all(c == 0 for c in den):
         raise ValueError("denominator must be nonzero")
 
-    def horner(cs: Sequence[Fraction], x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
-
     def evaluator(x: Fraction) -> Fraction:
         return horner(num, x) / horner(den, x)
 
@@ -459,8 +455,6 @@ def _cmd_modpoly_degprof(args) -> HandlerResult:
 
 
 def _cmd_verify_all(args) -> HandlerResult:
-    from mpmath import mp, mpf
-
     rng = random.Random(args.seed)
     prec = args.prec
     tol = tolerance(prec)
@@ -505,9 +499,10 @@ def _cmd_verify_all(args) -> HandlerResult:
 
     step = richelotmod.richelot_image(richelotmod.enumerate_factorizations(curve, prec)[0], prec)
     back = richelotmod.richelot_image(richelotmod.dual_triple(step), prec)
-    src = [to_mpc(v, prec + 64) for v in g2curve.absolute_igusa(curve).as_tuple()]
-    img = [to_mpc(v, prec + 64) for v in g2curve.absolute_igusa(back.image).as_tuple()]
-    with mp.workprec(prec + 64):
+    work = prec + WORK_GUARD
+    src = [to_mpc(v, work) for v in g2curve.absolute_igusa(curve).as_tuple()]
+    img = [to_mpc(v, work) for v in g2curve.absolute_igusa(back.image).as_tuple()]
+    with mp.workprec(work):
         worst = max(abs(a - b) / max(mpf(1), abs(a)) for a, b in zip(src, img))
     checks.append(_check("richelot_involution", worst <= tol,
                          "dual step returns the source invariants"))

@@ -6,7 +6,9 @@ collected here:
 
 * rationals: ``fractions.Fraction`` with ``p/q`` string (de)serialization,
 * sparse multivariate polynomials over the rationals (``MultiPoly``),
-* dense univariate complex polynomials at a stated precision (``ComplexPoly``),
+* dense univariate polynomials: one product and one Horner kernel
+  (``poly_mul``, ``horner``) and the complex type ``ComplexPoly`` at a
+  stated precision,
 * exact linear algebra (nullspace, fraction-free determinants) and
   continued-fraction rational reconstruction.
 
@@ -24,11 +26,14 @@ from types import MappingProxyType
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import hashlib
+import math
 
 from mpmath import mp, mpc, mpf
 
-Rational = Fraction
 Scalar = Union[Fraction, int, mpc, mpf]
+
+# Default working precision in bits for every module and the CLI.
+DEFAULT_PREC = 300
 
 # Extra working bits used inside kernels so that results are good to the
 # caller's stated precision after roundoff.
@@ -37,10 +42,6 @@ WORK_GUARD = 64
 
 class PrecisionError(ArithmeticError):
     """A numeric kernel could not certify its result at the requested precision."""
-
-
-class CoincidentNodesError(ValueError):
-    """Interpolation nodes closer than the resolution tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +263,31 @@ def _horner_multi(items: List[Tuple[Tuple[int, ...], Fraction]], point: Tuple[Sc
 
 
 # ---------------------------------------------------------------------------
-# dense univariate complex polynomials
+# dense univariate polynomials
 # ---------------------------------------------------------------------------
+
+
+def poly_mul(u: Sequence[Scalar], v: Sequence[Scalar]) -> List[Scalar]:
+    """Product of two dense polynomials, constant coefficient first.
+
+    Exact over Fractions; mpmath values round at the ambient precision.
+    """
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            out[i + j] += x * y
+    return out
+
+
+def horner(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
+    """Value at ``x`` of a dense polynomial, constant coefficient first.
+
+    Exact over Fractions; mpmath values round at the ambient precision.
+    """
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 @dataclass(frozen=True)
@@ -296,11 +320,7 @@ class ComplexPoly:
 
     def __call__(self, x: Scalar) -> mpc:
         with mp.workprec(self.prec + WORK_GUARD):
-            x = to_mpc(x, self.prec + WORK_GUARD)
-            acc = mpc(0)
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
+            return horner(self.coeffs, to_mpc(x, self.prec + WORK_GUARD))
 
     def derivative(self) -> "ComplexPoly":
         with mp.workprec(self.prec + WORK_GUARD):
@@ -308,17 +328,6 @@ class ComplexPoly:
                 return ComplexPoly((mpc(0),), self.prec)
             cs = tuple(self.coeffs[k] * k for k in range(1, len(self.coeffs)))
             return ComplexPoly(cs, self.prec)
-
-    def mul(self, other: "ComplexPoly") -> "ComplexPoly":
-        prec = min(self.prec, other.prec)
-        with mp.workprec(prec + WORK_GUARD):
-            out = [mpc(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return ComplexPoly(tuple(out), prec)
 
     def add(self, other: "ComplexPoly") -> "ComplexPoly":
         prec = min(self.prec, other.prec)
@@ -455,18 +464,10 @@ def det_fraction(matrix: Sequence[Sequence[Union[Fraction, int]]]) -> Fraction:
     scale = Fraction(1)
     cleared: List[List[int]] = []
     for row in rows:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
+        lcm = math.lcm(*(x.denominator for x in row))
         scale /= lcm
         cleared.append([int(x * lcm) for x in row])
     return scale * bareiss_det(cleared)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 # ---------------------------------------------------------------------------
@@ -517,47 +518,3 @@ def rational_reconstruct(approx: Union[mpf, Fraction, int, float], denom_bound: 
 
 def _floor_fraction(x: Fraction) -> int:
     return x.numerator // x.denominator
-
-
-# ---------------------------------------------------------------------------
-# interpolation
-# ---------------------------------------------------------------------------
-
-
-def lagrange_interpolate(nodes: Sequence[Tuple[Scalar, Scalar]], prec: int) -> ComplexPoly:
-    """Complex interpolating polynomial through distinct nodes.
-
-    Nodes must be pairwise separated by more than ``2**(-prec/2)``; closer
-    nodes raise CoincidentNodesError. Uses Newton divided differences at
-    ``prec`` plus guard bits, then expands to the monomial basis.
-    """
-    n = len(nodes)
-    if n == 0:
-        raise ValueError("at least one node required")
-    work = prec + WORK_GUARD
-    with mp.workprec(work):
-        xs = [to_mpc(x, work) for x, _ in nodes]
-        ys = [to_mpc(y, work) for _, y in nodes]
-        tol = tolerance(prec)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(xs[i] - xs[j]) <= tol:
-                    raise CoincidentNodesError(
-                        f"nodes {i} and {j} are within 2^(-{prec}/2) of each other")
-        # divided differences
-        table = list(ys)
-        divided = [table[0]]
-        for level in range(1, n):
-            for i in range(n - level):
-                table[i] = (table[i + 1] - table[i]) / (xs[i + level] - xs[i])
-            divided.append(table[0])
-        # Horner expansion of the Newton form
-        coeffs = [divided[-1]]
-        for k in range(n - 2, -1, -1):
-            nxt = [mpc(0)] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                nxt[i + 1] += c
-                nxt[i] -= c * xs[k]
-            nxt[0] += divided[k]
-            coeffs = nxt
-        return ComplexPoly(tuple(coeffs), prec)

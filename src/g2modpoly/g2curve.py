@@ -33,17 +33,18 @@ from typing import List, Optional, Sequence, Tuple, Union
 from mpmath import mp, mpc, mpf
 
 from .exactnum import (
+    DEFAULT_PREC,
     PrecisionError,
     Scalar,
     WORK_GUARD,
+    det_fraction,
     format_rational,
     parse_rational,
+    poly_mul,
     to_mpc,
     tolerance,
 )
 from .igusa_data import I2_TERMS, I4_TERMS, I6_TERMS
-
-DEFAULT_PREC = 300
 
 
 class NotMonicError(ValueError):
@@ -68,12 +69,6 @@ class Genus2Curve:
     @property
     def is_exact(self) -> bool:
         return all(isinstance(c, (Fraction, int)) for c in self.coeffs)
-
-    def f(self, x: Scalar) -> Scalar:
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        return acc
 
     def working_prec(self) -> int:
         return self.prec if self.prec is not None else DEFAULT_PREC
@@ -159,26 +154,19 @@ def _eval_terms(terms, cs):
 def _resultant_f_fprime(coeffs: Sequence[Scalar], exact: bool, prec: int) -> Scalar:
     """Res(f, f') for monic sextic f, coefficients constant first."""
     size = 11
+    work = prec + WORK_GUARD
+    with mp.workprec(work):
+        if exact:
+            f_desc, zero = list(reversed(list(coeffs))), 0
+        else:
+            f_desc, zero = [to_mpc(c, work) for c in reversed(list(coeffs))], mpc(0)
+        fp_desc = [(6 - i) * f_desc[i] for i in range(6)]
+    # Sylvester matrix: 5 shifted rows of f, then 6 of f'
+    a = [[zero] * i + f_desc + [zero] * (size - 7 - i) for i in range(5)]
+    a += [[zero] * i + fp_desc + [zero] * (size - 6 - i) for i in range(6)]
     if exact:
-        from .exactnum import det_fraction
-
-        f_desc = list(reversed(list(coeffs)))
-        fp_desc = [(6 - i) * f_desc[i] for i in range(6)]
-        rows = []
-        for i in range(5):
-            rows.append([0] * i + f_desc + [0] * (size - 7 - i))
-        for i in range(6):
-            rows.append([0] * i + fp_desc + [0] * (size - 6 - i))
-        return det_fraction(rows)
-    with mp.workprec(prec + WORK_GUARD):
-        f_desc = [to_mpc(c, prec + WORK_GUARD) for c in reversed(list(coeffs))]
-        fp_desc = [(6 - i) * f_desc[i] for i in range(6)]
-        rows = []
-        for i in range(5):
-            rows.append([mpc(0)] * i + f_desc + [mpc(0)] * (size - 7 - i))
-        for i in range(6):
-            rows.append([mpc(0)] * i + fp_desc + [mpc(0)] * (size - 6 - i))
-        a = [[to_mpc(x, prec + WORK_GUARD) for x in row] for row in rows]
+        return det_fraction(a)
+    with mp.workprec(work):
         det = mpc(1)
         for k in range(size):
             piv = max(range(k, size), key=lambda i: abs(a[i][k]))
@@ -249,33 +237,25 @@ def transform_model(curve: Genus2Curve, g: Sequence[Sequence[Union[Fraction, int
     exact = curve.is_exact
     p = prec if prec is not None else curve.working_prec()
 
-    def poly_mul(u, v, zero):
-        out = [zero] * (len(u) + len(v) - 1)
-        for i, x in enumerate(u):
-            for j, y in enumerate(v):
-                out[i + j] += x * y
-        return out
-
-    def substitute(cs, num, den, zero, one):
+    def substitute(cs, num, den):
         # sum_i c_i (a x + b)^i (c x + d)^(6 - i)
-        num_pows = [[one]]
-        den_pows = [[one]]
+        num_pows = [[1]]
+        den_pows = [[1]]
         for _ in range(6):
-            num_pows.append(poly_mul(num_pows[-1], num, zero))
-            den_pows.append(poly_mul(den_pows[-1], den, zero))
-        acc = [zero] * 7
+            num_pows.append(poly_mul(num_pows[-1], num))
+            den_pows.append(poly_mul(den_pows[-1], den))
+        acc = [0] * 7
         for i, coeff in enumerate(cs):
             if coeff == 0:
                 continue
-            term = poly_mul(num_pows[i], den_pows[6 - i], zero)
+            term = poly_mul(num_pows[i], den_pows[6 - i])
             for k, val in enumerate(term):
                 acc[k] += coeff * val
         return acc
 
     if exact:
         acc = substitute([Fraction(x) for x in curve.coeffs],
-                         [Fraction(b), Fraction(a)], [Fraction(d), Fraction(c)],
-                         Fraction(0), Fraction(1))
+                         [Fraction(b), Fraction(a)], [Fraction(d), Fraction(c)])
         lead = acc[6]
         if lead == 0:
             raise ValueError("substitution drops the degree (image of infinity is a root)")
@@ -284,8 +264,7 @@ def transform_model(curve: Genus2Curve, g: Sequence[Sequence[Union[Fraction, int
     with mp.workprec(p + WORK_GUARD):
         acc = substitute([to_mpc(x, p + WORK_GUARD) for x in curve.coeffs],
                          [to_mpc(b, p + WORK_GUARD), to_mpc(a, p + WORK_GUARD)],
-                         [to_mpc(d, p + WORK_GUARD), to_mpc(c, p + WORK_GUARD)],
-                         mpc(0), mpc(1))
+                         [to_mpc(d, p + WORK_GUARD), to_mpc(c, p + WORK_GUARD)])
         lead = acc[6]
         scale = max([mpf(1)] + [abs(x) for x in acc])
         if abs(lead) <= tolerance(p) * scale:

@@ -23,6 +23,7 @@ the degree shape of such relations is measured experimentally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -31,11 +32,13 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 from mpmath import mp, mpc, mpf
 
 from .exactnum import (
+    DEFAULT_PREC,
     ComplexPoly,
     MultiPoly,
     PrecisionError,
     WORK_GUARD,
     bareiss_det,
+    horner,
     mpf_to_fraction,
     rational_reconstruct,
     tolerance,
@@ -43,7 +46,6 @@ from .exactnum import (
 from .g2curve import Genus2Curve, IgusaTriple, absolute_igusa
 from .richelot import all_isogenous_invariants
 
-DEFAULT_PREC = 300
 DEFAULT_DENOM_BOUND = 1 << 256
 DEFAULT_PREC_CAP = 2000
 
@@ -169,18 +171,23 @@ def _image_data(curve: Genus2Curve, prec: int):
     return xs, j2s, j3s
 
 
+def _expand(xs: Sequence[mpc], j2s: Sequence[mpc], j3s: Sequence[mpc],
+            prec: int) -> Tuple[ComplexPoly, ComplexPoly, ComplexPoly]:
+    """P2 = prod_i (X - x_i) and the companions sum_i j_k(i) P2 / (X - x_i)."""
+    p2 = ComplexPoly.from_roots(xs, prec)
+    ft2: Optional[ComplexPoly] = None
+    ft3: Optional[ComplexPoly] = None
+    for x, j2, j3 in zip(xs, j2s, j3s):
+        q = p2.deflate(x)
+        t2 = q.scale(j2)
+        t3 = q.scale(j3)
+        ft2 = t2 if ft2 is None else ft2.add(t2)
+        ft3 = t3 if ft3 is None else ft3.add(t3)
+    return p2, ft2, ft3
+
+
 def _build(curve: Genus2Curve, prec: int) -> EvaluatedModPoly:
-    xs, j2s, j3s = _image_data(curve, prec)
-    with mp.workprec(prec + WORK_GUARD):
-        p2 = ComplexPoly.from_roots(xs, prec)
-        ft2: Optional[ComplexPoly] = None
-        ft3: Optional[ComplexPoly] = None
-        for i, x in enumerate(xs):
-            q = p2.deflate(x)
-            t2 = q.scale(j2s[i])
-            t3 = q.scale(j3s[i])
-            ft2 = t2 if ft2 is None else ft2.add(t2)
-            ft3 = t3 if ft3 is None else ft3.add(t3)
+    p2, ft2, ft3 = _expand(*_image_data(curve, prec), prec)
     src = absolute_igusa(curve)
     return EvaluatedModPoly(prec=prec, source=src, p2=p2, ftilde2=ft2, ftilde3=ft3)
 
@@ -318,15 +325,10 @@ def companion_identity_report(curve: Genus2Curve, prec: int = DEFAULT_PREC,
     w = prec + WORK_GUARD
     while True:
         xs, j2s, j3s = _image_data(curve, w)
+        p2, ft2, ft3 = _expand(xs, j2s, j3s, w)
+        ft = {2: ft2, 3: ft3}
         with mp.workprec(w + WORK_GUARD):
-            p2 = ComplexPoly.from_roots(xs, w)
             dp = p2.derivative()
-            ft = {2: None, 3: None}
-            for i, x in enumerate(xs):
-                q = p2.deflate(x)
-                for k, jk in ((2, j2s[i]), (3, j3s[i])):
-                    t = q.scale(jk)
-                    ft[k] = t if ft[k] is None else ft[k].add(t)
             worst = {2: mpf(0), 3: mpf(0)}
             cond_bits = 0
             for i, x in enumerate(xs):
@@ -355,11 +357,7 @@ def companion_identity_report(curve: Genus2Curve, prec: int = DEFAULT_PREC,
 
 def _eval_magnitude(poly: ComplexPoly, x: mpc) -> mpf:
     """Sum of absolute term magnitudes |c_k| |x|^k (conditioning estimate)."""
-    ax = abs(mpc(x))
-    acc = mpf(0)
-    for c in reversed(poly.coeffs):
-        acc = acc * ax + abs(c)
-    return acc
+    return horner([abs(c) for c in poly.coeffs], abs(mpc(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +423,7 @@ def _relation_matrix_singular(m: int, n: int, xs: Sequence[Fraction],
         for _ in range(n + 1):
             row.append(p)
             p *= x
-        lcm = 1
-        for v in row:
-            g = _gcd(lcm, v.denominator)
-            lcm = lcm // g * v.denominator
+        lcm = math.lcm(*(v.denominator for v in row))
         ints = [int(v * lcm) for v in row]
         if lcm % _PREFILTER_PRIME == 0:
             prefilter_ok = False
@@ -457,9 +452,3 @@ def _det_mod(rows: Sequence[Sequence[int]], p: int) -> int:
                 f = (a[i][k] * inv) % p
                 a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
     return det % p
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)

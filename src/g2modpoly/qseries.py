@@ -15,6 +15,7 @@ multiplication is the expansion-side counterpart of holomorphicity
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -50,20 +51,9 @@ def cone_indices(order: int) -> Iterator[ConeIndex]:
     for total in range(order + 1):
         for k in range(total + 1):
             m = total - k
-            lmax = _isqrt(4 * k * m)
+            lmax = math.isqrt(4 * k * m)
             for l in range(-lmax, lmax + 1):
                 yield (k, l, m)
-
-
-def _isqrt(n: int) -> int:
-    if n < 0:
-        return -1
-    r = int(n**0.5)
-    while r * r > n:
-        r -= 1
-    while (r + 1) * (r + 1) <= n:
-        r += 1
-    return r
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from mpmath import mp, mpc, mpf
 
 import mpmath
 
-from .exactnum import PrecisionError, Scalar, WORK_GUARD, to_mpc, tolerance
+from .exactnum import PrecisionError, Scalar, WORK_GUARD, horner, poly_mul, to_mpc, tolerance
 from .g2curve import Genus2Curve, IgusaTriple, absolute_igusa
 
 Quadratic = Tuple[mpc, mpc, mpc]  # (c0, c1, c2), constant first
@@ -58,11 +58,7 @@ class QuadraticTriple:
         with mp.workprec(self.prec + WORK_GUARD):
             acc = [mpc(1)]
             for q in self.quads:
-                nxt = [mpc(0)] * (len(acc) + 2)
-                for i, c in enumerate(acc):
-                    for j, d in enumerate(q):
-                        nxt[i + j] += c * d
-                acc = nxt
+                acc = poly_mul(acc, q)
             return tuple(acc)
 
 
@@ -123,15 +119,15 @@ def complex_roots(curve: Genus2Curve, prec: int) -> Tuple[mpc, ...]:
     """
     work = prec + WORK_GUARD
     with mp.workprec(work):
-        coeffs_desc = [to_mpc(c, work) for c in reversed(curve.coeffs)]
+        coeffs = [to_mpc(c, work) for c in curve.coeffs]
         try:
-            roots = mp.polyroots(coeffs_desc, maxsteps=200, extraprec=prec // 2 + 60)
+            roots = mp.polyroots(coeffs[::-1], maxsteps=200, extraprec=prec // 2 + 60)
         except mpmath.libmp.NoConvergence as exc:
             raise PrecisionError("root finding did not converge; raise the precision") from exc
         tol = tolerance(prec)
-        coeff_scale = max([mpf(1)] + [abs(c) for c in coeffs_desc])
+        coeff_scale = max([mpf(1)] + [abs(c) for c in coeffs])
         for r in roots:
-            residual = abs(_eval_desc(coeffs_desc, r))
+            residual = abs(horner(coeffs, r))
             scale = coeff_scale * max(mpf(1), abs(r)) ** 6
             if residual > tol * scale:
                 raise PrecisionError("root residual exceeds the certification tolerance")
@@ -142,13 +138,6 @@ def complex_roots(curve: Genus2Curve, prec: int) -> Tuple[mpc, ...]:
                     raise PrecisionError("roots indistinguishable at this precision")
         ordered = sorted(roots, key=lambda z: (z.real, z.imag))
         return tuple(mpc(r) for r in ordered)
-
-
-def _eval_desc(coeffs_desc: Sequence[mpc], x: mpc) -> mpc:
-    acc = mpc(0)
-    for c in coeffs_desc:
-        acc = acc * x + c
-    return acc
 
 
 def enumerate_factorizations(curve: Genus2Curve, prec: int) -> Tuple[QuadraticTriple, ...]:
@@ -215,24 +204,13 @@ def richelot_image(triple: QuadraticTriple, prec: Optional[int] = None) -> Riche
         if abs(delta) <= tolerance(p) * coeff_scale**3:
             return RichelotStep(triple, delta, None)
         a, b, c = triple.quads
-        g = _poly_mul3(bracket(a, b, p), bracket(a, c, p), bracket(b, c, p))
+        g = poly_mul(poly_mul(bracket(a, b, p), bracket(a, c, p)), bracket(b, c, p))
         gscale = max([mpf(1)] + [abs(x) for x in g])
         if abs(g[6]) <= tolerance(p) * gscale:
             g = _restore_degree(g, p)
         lead = g[6]
         monic = tuple(mpc(x / lead) for x in g[:6]) + (mpc(1),)
         return RichelotStep(triple, delta, Genus2Curve(monic, p))
-
-
-def _poly_mul3(q1: Quadratic, q2: Quadratic, q3: Quadratic) -> Tuple[mpc, ...]:
-    def mul(u: Sequence[mpc], v: Sequence[mpc]) -> List[mpc]:
-        out = [mpc(0)] * (len(u) + len(v) - 1)
-        for i, x in enumerate(u):
-            for j, y in enumerate(v):
-                out[i + j] += x * y
-        return out
-
-    return tuple(mul(mul(list(q1), list(q2)), list(q3)))
 
 
 def _restore_degree(g: Sequence[mpc], prec: int) -> Tuple[mpc, ...]:
@@ -245,7 +223,7 @@ def _restore_degree(g: Sequence[mpc], prec: int) -> Tuple[mpc, ...]:
     gscale = max([mpf(1)] + [abs(x) for x in g])
     best_t, best_val = None, mpf(0)
     for t in (0, 1, -1, 2, -2, 3, -3, 4, -4):
-        val = abs(_eval_desc(list(reversed(list(g))), mpc(t)))
+        val = abs(horner(g, mpc(t)))
         if val > best_val:
             best_t, best_val = t, val
     if best_t is None or best_val <= tol * gscale:

@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from mpmath import mp, mpc, mpf
 
 from .exactnum import (
+    DEFAULT_PREC,
     PrecisionError,
     WORK_GUARD,
     complex_to_pair,
@@ -32,8 +33,6 @@ from .exactnum import (
     tolerance,
 )
 from .sp4 import SymplecticMatrix
-
-DEFAULT_PREC = 300
 
 CMat2 = Tuple[Tuple[mpc, mpc], Tuple[mpc, mpc]]
 

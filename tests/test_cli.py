@@ -11,6 +11,7 @@ point wiring.  The contract under test:
   3 (bad input file / domain-invalid input), 4 (precision failure).
 """
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -92,6 +93,28 @@ def test_reports_are_byte_identical_across_runs(generic_curve_file, capsys):
     _, second, _ = _run(argv, capsys)
     assert first == second
     assert len(first) > 1000  # the report carries the full evaluated polynomial
+
+
+# sha256 of json.dumps({"results": ..., "checks": ...}) for the generic curve
+# (inputs are left out: they carry the temporary file paths)
+PINNED_REPORT_SHA256 = {
+    ("modpoly", "eval2"): "f9a2f1d08cc76b6ab60754bf35834f5f8850f0a862a67a3f8c413b37749abbca",
+    ("modpoly", "ftilde", "--k", "2"): "4947adc7ac5eb842937e75e42d5740a3114484922b90b2eb171fa7398dc8da2e",
+    ("richelot", "all"): "5e163fcc95b96a0a9ded607aacf1c7680a6f4ecc9ffa9ec4b42d0394f1144b06",
+    ("curve", "transform"): "31353d367c16050ae740cc6ea2f886aaf4605cad25b50e2c2cccd12567ebe2da",
+}
+
+
+def test_reports_match_pinned_digests(tmp_path, generic_curve_file, capsys):
+    matrix = _write_json(tmp_path / "m.json", [[1, 2], [1, 3]])
+    for cmd, expected in PINNED_REPORT_SHA256.items():
+        argv = [cmd[0], cmd[1], "--in", generic_curve_file, *cmd[2:]]
+        if cmd[0] == "curve":
+            argv += ["--matrix", matrix]
+        code, doc, _ = _report(argv, capsys)
+        assert code == 0
+        body = json.dumps({"results": doc["results"], "checks": doc["checks"]})
+        assert hashlib.sha256(body.encode()).hexdigest() == expected, cmd
 
 
 def test_seeded_commands_are_deterministic(tmp_path, capsys):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from g2modpoly.exactnum import (
-    CoincidentNodesError,
     ComplexPoly,
     MultiPoly,
     bareiss_det,
@@ -16,12 +15,13 @@ from g2modpoly.exactnum import (
     det_fraction,
     format_rational,
     fraction_to_mpf,
-    lagrange_interpolate,
+    horner,
     mpf_to_fraction,
     mpf_to_str,
     nullspace,
     pair_to_complex,
     parse_rational,
+    poly_mul,
     rational_reconstruct,
     str_to_mpf,
     to_mpc,
@@ -228,7 +228,7 @@ def test_reconstruct_respects_denominator_bound():
 
 
 # ---------------------------------------------------------------------------
-# Lagrange interpolation
+# dense univariate polynomials
 # ---------------------------------------------------------------------------
 
 
@@ -242,43 +242,21 @@ def _coeff_close(poly, expected, prec):
     return True
 
 
-def test_interpolate_line_through_origin():
-    poly = lagrange_interpolate([(0, 0), (1, 1)], 128)
-    assert poly.degree <= 1
-    assert _coeff_close(poly, (0, 1), 128)
-
-
-def test_interpolate_constant():
-    poly = lagrange_interpolate([(0, 5), (1, 5), (2, 5)], 128)
-    assert _coeff_close(poly, (5, 0, 0), 128)
-
-
-def test_interpolate_cubic_roundtrip():
-    nodes = [(x, x**3 + 1) for x in (0, 1, 2, 3)]
-    poly = lagrange_interpolate(nodes, 200)
-    assert _coeff_close(poly, (1, 0, 0, 1), 200)
-
-
-def test_interpolate_rejects_coincident_nodes():
-    with pytest.raises(CoincidentNodesError):
-        lagrange_interpolate([(1, 2), (1, 3)], 128)
-
-
-@given(
-    st.lists(small_rationals, min_size=1, max_size=12, unique=True),
-    st.data(),
-)
-def test_interpolate_matches_all_nodes(xs, data):
-    ys = [data.draw(small_rationals) for _ in xs]
-    prec = 200
-    poly = lagrange_interpolate(list(zip(xs, ys)), prec)
-    assert poly.degree <= len(xs) - 1
-    tol = tolerance(prec)
-    with mp.workprec(prec + 64):
-        for x, y in zip(xs, ys):
-            err = abs(poly(x) - to_mpc(y, prec))
-            scale = max(mpf(1), abs(to_mpc(y, prec)))
-            assert err <= tol * scale
+def test_poly_mul_and_horner_are_exact_over_fractions_and_round_at_ambient_precision():
+    u = [Fraction(1, 2), Fraction(-1), Fraction(3)]  # 1/2 - x + 3x^2
+    v = [Fraction(2, 3), Fraction(1)]                # 2/3 + x
+    assert poly_mul(u, v) == [Fraction(1, 3), Fraction(-1, 6), Fraction(1), Fraction(3)]
+    x = Fraction(5, 7)
+    assert horner(poly_mul(u, v), x) == horner(u, x) * horner(v, x)
+    assert horner([], x) == 0
+    with mp.workprec(200):
+        third = mpc(1) / 3
+    with mp.workprec(20):
+        low = poly_mul([third], [mpc(1)])[0]
+        assert horner([mpc(0), mpc(1)], third) == low
+    with mp.workprec(200):
+        assert poly_mul([third], [mpc(1)])[0] == third
+        assert 0 < abs(low - third) < mpf(2) ** -20
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +350,7 @@ def test_complexpoly_call_derivative_and_deflate():
 def test_complexpoly_mul_add_scale():
     a = ComplexPoly((1, 1), 200)   # 1 + x
     b = ComplexPoly((-1, 1), 200)  # -1 + x
-    assert _coeff_close(a.mul(b), (-1, 0, 1), 200)
+    with mp.workprec(264):
+        assert _coeff_close(ComplexPoly(poly_mul(a.coeffs, b.coeffs), 200), (-1, 0, 1), 200)
     assert _coeff_close(a.add(b), (0, 2), 200)
     assert _coeff_close(a.scale(3), (3, 3), 200)

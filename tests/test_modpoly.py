@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc, mpf
 
-from g2modpoly.exactnum import to_mpc, tolerance
+from g2modpoly.exactnum import ComplexPoly, to_mpc, tolerance
 from g2modpoly.g2curve import Genus2Curve, absolute_igusa
 from g2modpoly.modpoly import (
     DEFAULT_DENOM_BOUND,
@@ -15,6 +15,7 @@ from g2modpoly.modpoly import (
     L2_TERM_COUNT,
     CompanionReport,
     SplitInputError,
+    _reconstruct_coeffs,
     companion_identity_report,
     degree_profile,
     evaluated_Ftilde,
@@ -200,6 +201,19 @@ def test_reconstruction_fails_honestly_when_bound_is_too_small():
         curve(*GENERIC), 300, reconstruct=True, denom_bound=1 << 64, prec_cap=1200
     )
     assert ev.rational_p2 is None
+
+
+def test_reconstruction_refuses_a_convergent_outside_the_decoding_radius():
+    # 1/3 + 2^-550 has the convergent 1/3, which passes the 2^-500 residual
+    # tolerance of rational_reconstruct at 1000 bits; only the unique-decoding
+    # radius 1/(2 B^2) = 2^-601 for B = 2^300 rejects it.  _certify cannot
+    # catch such a near miss, so this check is the guard against wrong rationals.
+    bound = 1 << 300
+    with mp.workprec(1064):
+        third = mpc(1) / 3
+        near = third + mpc(2) ** -550
+    assert _reconstruct_coeffs(ComplexPoly((third, 1), 1000), 1000, bound) == [F(1, 3), 1]
+    assert _reconstruct_coeffs(ComplexPoly((near, 1), 1000), 1000, bound) is None
 
 
 def test_reconstruction_requires_exact_curve():
