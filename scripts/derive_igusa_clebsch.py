@@ -21,7 +21,6 @@ Output: src/g2modpoly/igusa_data.py (regenerated in place).
 
 from __future__ import annotations
 
-import itertools
 import random
 import sys
 from fractions import Fraction

@@ -10,10 +10,14 @@ Invariants come in two flavours:
   (2, 4, 6, 10) in the coefficients of a general sextic, normalized so that
   they agree with the symmetric root-difference sums (I10 is the
   discriminant of the monic sextic). I2, I4, I6 are evaluated from frozen
-  integer coefficient formulas (igusa_data.py); I10 from a Sylvester
-  resultant. All four are exact over the rationals.
+  integer coefficient formulas (igusa_data.py) over one power table
+  [1, c, ..., c^4] per coefficient, shared by all three; for complex
+  coefficients each power is multiplied out exactly and rounded once at
+  the working precision. I10 comes from a Sylvester resultant. All four
+  are exact over the rationals.
 * ``absolute_igusa``: the weight-zero triple
-  j1 = I2^5/I10, j2 = I2^3 I4/I10, j3 = I2^2 I6/I10.
+  j1 = I2^5/I10, j2 = I2^3 I4/I10, j3 = I2^2 I6/I10, with the powers of
+  I2 taken from the same kind of table.
   These are invariant under Moebius changes of the x coordinate and under
   quadratic twists, so they classify the curve up to isomorphism over an
   algebraically closed field (away from I2 = 0).
@@ -34,7 +38,6 @@ from mpmath import mp, mpc, mpf
 
 from .exactnum import (
     DEFAULT_PREC,
-    PrecisionError,
     Scalar,
     WORK_GUARD,
     det_fraction,
@@ -137,14 +140,39 @@ def validate_curve(coeffs: Sequence[Union[Scalar, str]], prec: Optional[int] = N
     return curve
 
 
-def _eval_terms(terms, cs):
-    """Evaluate a frozen exponent-vector table at coefficients c0..c5."""
+def _power_table(c: Scalar, top: int) -> List[Scalar]:
+    """[1, c, c^2, ..., c^top]; plain products for exact c.
+
+    An mpc power is multiplied out exactly and rounded once at the ambient
+    precision, so it is the correctly rounded power. ``c ** e`` is the same
+    wherever mpmath takes its exact integer path, but switches to
+    exp(e log c) once the exact size passes 10^4 bits, which at a few
+    thousand bits costs more than everything else in ``igusa_clebsch``.
+    """
+    table = [1, c]
+    if isinstance(c, mpc):
+        exact = c
+        for _ in range(top - 1):
+            exact = mp.fmul(exact, c, exact=True)
+            table.append(+exact)
+    else:
+        for _ in range(top - 1):
+            table.append(table[-1] * c)
+    return table
+
+
+#: the largest exponent of any coefficient in the I2, I4 and I6 tables
+_TOP_POWER = max(e for terms in (I2_TERMS, I4_TERMS, I6_TERMS) for mono in terms for e in mono)
+
+
+def _eval_terms(terms, tables):
+    """Evaluate a frozen exponent-vector table from the power tables of c0..c5."""
     total = None
     for mono, coeff in terms.items():
         acc = None
-        for e, c in zip(mono, cs):
+        for e, powers in zip(mono, tables):
             if e:
-                part = c**e
+                part = powers[e]
                 acc = part if acc is None else acc * part
         term = coeff if acc is None else coeff * acc
         total = term if total is None else total + term
@@ -189,17 +217,17 @@ def igusa_clebsch(curve: Genus2Curve) -> Tuple[Scalar, Scalar, Scalar, Scalar]:
     exact = curve.is_exact
     prec = curve.working_prec()
     if exact:
-        cs = tuple(Fraction(c) for c in cs)
-        i2 = Fraction(_eval_terms(I2_TERMS, cs))
-        i4 = Fraction(_eval_terms(I4_TERMS, cs))
-        i6 = Fraction(_eval_terms(I6_TERMS, cs))
+        tables = [_power_table(Fraction(c), _TOP_POWER) for c in cs]
+        i2 = Fraction(_eval_terms(I2_TERMS, tables))
+        i4 = Fraction(_eval_terms(I4_TERMS, tables))
+        i6 = Fraction(_eval_terms(I6_TERMS, tables))
         i10 = -_resultant_f_fprime(curve.coeffs, True, prec)
         return (i2, i4, i6, Fraction(i10))
     with mp.workprec(prec + WORK_GUARD):
-        cs = tuple(to_mpc(c, prec + WORK_GUARD) for c in cs)
-        i2 = _eval_terms(I2_TERMS, cs)
-        i4 = _eval_terms(I4_TERMS, cs)
-        i6 = _eval_terms(I6_TERMS, cs)
+        tables = [_power_table(to_mpc(c, prec + WORK_GUARD), _TOP_POWER) for c in cs]
+        i2 = _eval_terms(I2_TERMS, tables)
+        i4 = _eval_terms(I4_TERMS, tables)
+        i6 = _eval_terms(I6_TERMS, tables)
         i10 = -_resultant_f_fprime(curve.coeffs, False, prec)
         return (mpc(i2), mpc(i4), mpc(i6), mpc(i10))
 
@@ -207,17 +235,17 @@ def igusa_clebsch(curve: Genus2Curve) -> Tuple[Scalar, Scalar, Scalar, Scalar]:
 def absolute_igusa(curve: Genus2Curve) -> IgusaTriple:
     """The weight-zero triple (I2^5, I2^3 I4, I2^2 I6) / I10."""
     i2, i4, i6, i10 = igusa_clebsch(curve)
-    if curve.is_exact:
-        if i10 == 0:
-            raise SingularCurveError("discriminant is zero")
-        return IgusaTriple(i2**5 / i10, i2**3 * i4 / i10, i2**2 * i6 / i10)
     prec = curve.working_prec()
     with mp.workprec(prec + WORK_GUARD):
-        scale = max([mpf(1)] + [abs(c) for c in curve.coeffs]) ** 10
-        if abs(i10) <= tolerance(prec) * scale:
-            raise SingularCurveError("discriminant vanishes at working precision")
-    with mp.workprec(prec + WORK_GUARD):
-        return IgusaTriple(i2**5 / i10, i2**3 * i4 / i10, i2**2 * i6 / i10)
+        if curve.is_exact:
+            if i10 == 0:
+                raise SingularCurveError("discriminant is zero")
+        else:
+            scale = max([mpf(1)] + [abs(c) for c in curve.coeffs]) ** 10
+            if abs(i10) <= tolerance(prec) * scale:
+                raise SingularCurveError("discriminant vanishes at working precision")
+        p = _power_table(i2, 5)
+        return IgusaTriple(p[5] / i10, p[3] * i4 / i10, p[2] * i6 / i10)
 
 
 def transform_model(curve: Genus2Curve, g: Sequence[Sequence[Union[Fraction, int]]],

@@ -338,14 +338,14 @@ def companion_identity_report(curve: Genus2Curve, prec: int = DEFAULT_PREC,
                     raise CollidingImagesError("derivative vanishes at an image invariant")
                 cond_bits = max(cond_bits, int(mp.log(spread / abs(dpx), 2)) + 1)
                 for k, jks in ((2, j2s), (3, j3s)):
-                    val = ft[k](x) / dpx
+                    fx = ft[k](x)
+                    val = fx / dpx
                     ref = jks[i]
                     rel = abs(val - ref) / max(mpf(1), abs(ref))
                     worst[k] = max(worst[k], rel)
                     spread_f = _eval_magnitude(ft[k], x)
-                    if abs(ft[k](x)) > 0:
-                        cond_bits = max(
-                            cond_bits, int(mp.log(spread_f / abs(ft[k](x)), 2)) + 1)
+                    if abs(fx) > 0:
+                        cond_bits = max(cond_bits, int(mp.log(spread_f / abs(fx), 2)) + 1)
         needed = prec // 2 + cond_bits + 2 * WORK_GUARD
         if worst[2] <= tolerance(prec) and worst[3] <= tolerance(prec) and w >= needed:
             return CompanionReport(prec, w, worst[2], worst[3])

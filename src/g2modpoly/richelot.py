@@ -23,7 +23,6 @@ how ``dual_triple`` is meant to be used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpc, mpf

@@ -16,9 +16,8 @@ alternating form, and it is invariant under multiplication by i.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from mpmath import mp, mpc, mpf

@@ -117,6 +117,24 @@ def test_reports_match_pinned_digests(tmp_path, generic_curve_file, capsys):
         assert hashlib.sha256(body.encode()).hexdigest() == expected, cmd
 
 
+# the same digest of `modpoly eval2` at the default precision for the first
+# three seed-601 benchmark curves (perfbench/workloads.py draws them)
+PINNED_EVAL2_SHA256 = {
+    ("-2", "2", "1", "1", "2", "-3", "1"): "2523b28e00f20f3160be9430b3c93f08cdc9f526adaa5c9a9e3d3c8840ce166f",
+    ("-3", "0", "2", "0", "0", "-3", "1"): "6b410cf08f73be6a5a82c95942f50394b45a341eb584ac2a8fe2263c3aab02ca",
+    ("3", "-3", "3", "-1", "0", "2", "1"): "845b31792730a1660f015de1c9177eda2c6a78171c6d7724d0ba121ab261384d",
+}
+
+
+def test_eval2_reports_of_seeded_curves_match_pinned_digests(tmp_path, capsys):
+    for i, (f, expected) in enumerate(PINNED_EVAL2_SHA256.items()):
+        path = _write_json(tmp_path / f"c{i}.json", {"f": list(f)})
+        code, doc, _ = _report(["modpoly", "eval2", "--in", path], capsys)
+        assert code == 0
+        body = json.dumps({"results": doc["results"], "checks": doc["checks"]})
+        assert hashlib.sha256(body.encode()).hexdigest() == expected, f
+
+
 def test_seeded_commands_are_deterministic(tmp_path, capsys):
     tau = _write_json(tmp_path / "tau.json", {
         "tau1": ["0", "1"], "tau2": ["1/10", "1/20"], "tau3": ["0", "2"],

@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc, mpf
 
-from g2modpoly.exactnum import to_mpc, tolerance
+from g2modpoly.exactnum import WORK_GUARD, mpf_to_fraction, to_mpc, tolerance
 from g2modpoly.g2curve import (
     Genus2Curve,
     IgusaTriple,
     NotMonicError,
     SingularCurveError,
+    _power_table,
     absolute_igusa,
     curve_from_json,
     curve_to_json,
@@ -132,6 +133,75 @@ def test_absolute_invariants_are_finite_for_valid_curves():
         assert isinstance(t, IgusaTriple)
         for v in (t.j1, t.j2, t.j3):
             assert isinstance(v, F)
+
+
+# ---------------------------------------------------------------------------
+# power tables
+# ---------------------------------------------------------------------------
+
+
+def _random_mpc(rng, bits):
+    """A complex value with full ``bits``-bit mantissas in both parts."""
+    def part():
+        man = rng.getrandbits(bits) | (1 << (bits - 1))
+        return mpf((rng.choice((-1, 1)) * man, rng.randint(-8, 8) - bits))
+    return mpc(part(), part())
+
+
+def _round_dyadic(x):
+    """``x`` (a Fraction with a power-of-two denominator) rounded once."""
+    shift = x.denominator.bit_length() - 1
+    assert x.denominator == 1 << shift
+    return mpf((x.numerator, -shift))
+
+
+@pytest.mark.parametrize("bits", [364, 1264])
+def test_power_table_is_bit_identical_to_mpc_pow_on_the_exact_path(bits):
+    rng = random.Random(bits)
+    with mp.workprec(bits):
+        for _ in range(40):
+            c = _random_mpc(rng, bits)
+            table = _power_table(c, 5)
+            assert table[1] == c
+            for e in range(2, 6):
+                want = c**e
+                assert table[e].real._mpf_ == want.real._mpf_, e
+                assert table[e].imag._mpf_ == want.imag._mpf_, e
+
+
+def test_power_table_is_the_correctly_rounded_power_at_high_precision():
+    bits = 4264
+    rng = random.Random(bits)
+    with mp.workprec(bits):
+        for _ in range(10):
+            c = _random_mpc(rng, bits)
+            table = _power_table(c, 5)
+            a, b = mpf_to_fraction(c.real), mpf_to_fraction(c.imag)
+            re, im = F(1), F(0)
+            for e in range(1, 6):
+                re, im = re * a - im * b, re * b + im * a
+                assert table[e].real._mpf_ == _round_dyadic(re)._mpf_, e
+                assert table[e].imag._mpf_ == _round_dyadic(im)._mpf_, e
+
+
+def test_power_table_of_a_fraction_is_exact():
+    assert _power_table(F(-2, 3), 4) == [1, F(-2, 3), F(4, 9), F(-8, 27), F(16, 81)]
+
+
+def test_numeric_invariants_at_4200_bits_match_the_exact_ones():
+    exact = curve(F(-7, 3), F(5, 11), F(2, 9), F(-13, 5), F(3, 7), F(-1, 6), 1)
+    prec = 4200
+    work = prec + WORK_GUARD
+    numeric = Genus2Curve(tuple(to_mpc(c, work) for c in exact.coeffs), prec)
+    tol = tolerance(prec)
+    with mp.workprec(work):
+        for got, want in zip(igusa_clebsch(numeric), igusa_clebsch(exact)):
+            want = to_mpc(want, work)
+            assert abs(got - want) <= tol * max(mpf(1), abs(want))
+        got = absolute_igusa(numeric).as_tuple()
+        for g, w in zip(got, absolute_igusa(exact).as_tuple()):
+            w = to_mpc(w, work)
+            assert abs(g - w) <= tol * max(mpf(1), abs(w))
 
 
 # ---------------------------------------------------------------------------
