@@ -204,10 +204,12 @@ def _resultant_f_fprime(coeffs: Sequence[Scalar], exact: bool, prec: int) -> Sca
                 a[k], a[piv] = a[piv], a[k]
                 det = -det
             det *= a[k][k]
+            # only columns > k are read again below the pivot, so only they are updated
+            tail = a[k][k + 1:]
             for i in range(k + 1, size):
                 if a[i][k] != 0:
                     fct = a[i][k] / a[k][k]
-                    a[i] = [x - fct * y for x, y in zip(a[i], a[k])]
+                    a[i][k + 1:] = [x - fct * y for x, y in zip(a[i][k + 1:], tail)]
         return det
 
 

@@ -201,9 +201,13 @@ def evaluated_P2(curve: Genus2Curve, prec: int = DEFAULT_PREC, *,
     With ``reconstruct`` (rational curves only) the coefficients are
     reconstructed as exact rationals with denominators up to
     ``denom_bound``; on failure the precision is doubled up to ``prec_cap``
-    and the pipeline rerun. A successful reconstruction is certified by
-    recomputing at twice the successful precision and comparing to the
-    tolerance ``2**(-prec/2)`` relative; the result then carries
+    and the pipeline rerun. Rungs below the cap whose resolution cannot
+    resolve the decoding radius ``1/(2 denom_bound^2)`` even for a
+    coefficient of magnitude 1 would be rejected whatever they compute, so
+    they are skipped; the cap is always built. A successful reconstruction
+    is certified by recomputing at twice the successful precision, which
+    must agree to the tolerance ``2**(-prec/2)`` relative and lie within
+    the decoding radius of every rational; the result then carries
     ``rational_p2``. If every rung fails, the highest-precision complex
     result is returned with ``rational_p2 = None``.
     """
@@ -214,6 +218,8 @@ def evaluated_P2(curve: Genus2Curve, prec: int = DEFAULT_PREC, *,
     rungs = [prec]
     while rungs[-1] < prec_cap:
         rungs.append(min(2 * rungs[-1], prec_cap))
+    floor = _decoding_radius(denom_bound) / 2
+    rungs = [q for q in rungs[:-1] if _resolution(q) <= floor] + rungs[-1:]
     result = None
     for q in rungs:
         result = _build(curve, q)
@@ -221,13 +227,23 @@ def evaluated_P2(curve: Genus2Curve, prec: int = DEFAULT_PREC, *,
         if coeffs is None:
             continue
         check = _build(curve, 2 * q)
-        if _certify(coeffs, check.p2, q):
+        if _certify(coeffs, check.p2, q, denom_bound):
             return EvaluatedModPoly(
                 prec=q, source=result.source, p2=result.p2,
                 ftilde2=result.ftilde2, ftilde3=result.ftilde3,
                 rational_p2=tuple(coeffs),
             )
     return result
+
+
+def _decoding_radius(denom_bound: int) -> Fraction:
+    """1/(2 B^2): two fractions with denominators <= B differ by more than 1/B^2."""
+    return Fraction(1, 2 * denom_bound * denom_bound)
+
+
+def _resolution(prec: int) -> Fraction:
+    """How finely a coefficient of magnitude <= 1 is known from a ``prec``-bit build."""
+    return Fraction(1, 1 << max(prec - 2 * WORK_GUARD, 1))
 
 
 def _reconstruct_coeffs(p2: ComplexPoly, prec: int,
@@ -248,8 +264,8 @@ def _reconstruct_coeffs(p2: ComplexPoly, prec: int,
     rejected outright so the caller escalates.
     """
     tol = tolerance(prec)
-    radius = Fraction(1, 2 * denom_bound * denom_bound)
-    resolution = Fraction(1, 1 << max(prec - 2 * WORK_GUARD, 1))
+    radius = _decoding_radius(denom_bound)
+    resolution = _resolution(prec)
     out: List[Fraction] = []
     with mp.workprec(prec + WORK_GUARD):
         for c in p2.coeffs:
@@ -268,8 +284,12 @@ def _reconstruct_coeffs(p2: ComplexPoly, prec: int,
     return out
 
 
-def _certify(coeffs: Sequence[Fraction], high: ComplexPoly, prec: int) -> bool:
+def _certify(coeffs: Sequence[Fraction], high: ComplexPoly, prec: int,
+             denom_bound: int) -> bool:
+    """Every rational agrees with the rebuild ``high`` to ``tolerance(prec)``
+    relative and lies within the decoding radius of its real part."""
     tol = tolerance(prec)
+    radius = _decoding_radius(denom_bound)
     with mp.workprec(high.prec + WORK_GUARD):
         for frac, c in zip(coeffs, high.coeffs):
             c = mpc(c)
@@ -277,6 +297,8 @@ def _certify(coeffs: Sequence[Fraction], high: ComplexPoly, prec: int) -> bool:
             den = mpf(frac.denominator)
             err = abs(num / den - c.real) + abs(c.imag)
             if err > tol * max(mpf(1), abs(c)):
+                return False
+            if abs(mpf_to_fraction(mpf(c.real)) - frac) > radius:
                 return False
     return True
 

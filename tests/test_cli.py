@@ -13,6 +13,7 @@ point wiring.  The contract under test:
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import g2modpoly
 from g2modpoly.cli import dispatch
 
 GENERIC = ["-2", "3", "1", "-1", "0", "2", "1"]
@@ -512,8 +514,11 @@ def test_verify_all_battery_passes(capsys):
 def test_console_script_entry_point():
     exe = shutil.which("g2mp")
     cmd = [exe] if exe else [sys.executable, "-m", "g2modpoly.cli"]
-    proc = subprocess.run(cmd + ["sp4", "index", "--p", "2"],
-                          capture_output=True, text=True, timeout=120)
+    # the child imports the package under test, also from an uninstalled checkout
+    src = os.path.dirname(os.path.dirname(os.path.abspath(g2modpoly.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(cmd + ["sp4", "index", "--p", "2"], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["results"]["index"] == 15

@@ -13,6 +13,7 @@ from g2modpoly.g2curve import (
     NotMonicError,
     SingularCurveError,
     _power_table,
+    _resultant_f_fprime,
     absolute_igusa,
     curve_from_json,
     curve_to_json,
@@ -20,6 +21,7 @@ from g2modpoly.g2curve import (
     transform_model,
     validate_curve,
 )
+from g2modpoly.richelot import enumerate_factorizations, richelot_image
 
 from oracles import absolute_igusa_from_roots, coeffs_from_roots, igusa_clebsch_from_roots
 
@@ -202,6 +204,42 @@ def test_numeric_invariants_at_4200_bits_match_the_exact_ones():
         for g, w in zip(got, absolute_igusa(exact).as_tuple()):
             w = to_mpc(w, work)
             assert abs(g - w) <= tol * max(mpf(1), abs(w))
+
+
+def _full_row_resultant(coeffs, prec):
+    """Res(f, f') by pivoted elimination that updates whole rows."""
+    work = prec + WORK_GUARD
+    with mp.workprec(work):
+        f = [to_mpc(c, work) for c in reversed(coeffs)]
+        fp = [(6 - i) * f[i] for i in range(6)]
+        zero = mpc(0)
+        a = [[zero] * i + f + [zero] * (4 - i) for i in range(5)]
+        a += [[zero] * i + fp + [zero] * (5 - i) for i in range(6)]
+        det = mpc(1)
+        for k in range(11):
+            piv = max(range(k, 11), key=lambda i: abs(a[i][k]))
+            if a[piv][k] == 0:
+                return mpc(0)
+            if piv != k:
+                a[k], a[piv] = a[piv], a[k]
+                det = -det
+            det *= a[k][k]
+            for i in range(k + 1, 11):
+                if a[i][k] != 0:
+                    fct = a[i][k] / a[k][k]
+                    a[i] = [x - fct * y for x, y in zip(a[i], a[k])]
+        return det
+
+
+@pytest.mark.parametrize("prec", [300, 4800])
+def test_resultant_of_the_fifteen_images_is_bit_identical_to_full_row_elimination(prec):
+    # at 364 and 4864 working bits: the elimination skips the columns no later
+    # step reads, which must not change a single bit of the determinant
+    for triple in enumerate_factorizations(curve(-2, 3, 1, -1, 0, 2, 1), prec):
+        image = richelot_image(triple, prec).image
+        got = _resultant_f_fprime(image.coeffs, False, prec)
+        want = _full_row_resultant(image.coeffs, prec)
+        assert (got.real._mpf_, got.imag._mpf_) == (want.real._mpf_, want.imag._mpf_)
 
 
 # ---------------------------------------------------------------------------

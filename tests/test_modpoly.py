@@ -2,12 +2,14 @@
 
 import hashlib
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from mpmath import mp, mpc, mpf
 
 from g2modpoly.exactnum import ComplexPoly, to_mpc, tolerance
-from g2modpoly.g2curve import Genus2Curve, absolute_igusa
+from g2modpoly import modpoly
+from g2modpoly.g2curve import Genus2Curve, SingularCurveError, absolute_igusa
 from g2modpoly.modpoly import (
     DEFAULT_DENOM_BOUND,
     DEFAULT_PREC,
@@ -15,6 +17,7 @@ from g2modpoly.modpoly import (
     L2_TERM_COUNT,
     CompanionReport,
     SplitInputError,
+    _certify,
     _reconstruct_coeffs,
     companion_identity_report,
     degree_profile,
@@ -206,14 +209,87 @@ def test_reconstruction_fails_honestly_when_bound_is_too_small():
 def test_reconstruction_refuses_a_convergent_outside_the_decoding_radius():
     # 1/3 + 2^-550 has the convergent 1/3, which passes the 2^-500 residual
     # tolerance of rational_reconstruct at 1000 bits; only the unique-decoding
-    # radius 1/(2 B^2) = 2^-601 for B = 2^300 rejects it.  _certify cannot
-    # catch such a near miss, so this check is the guard against wrong rationals.
+    # radius 1/(2 B^2) = 2^-601 for B = 2^300 rejects it.
     bound = 1 << 300
     with mp.workprec(1064):
         third = mpc(1) / 3
         near = third + mpc(2) ** -550
     assert _reconstruct_coeffs(ComplexPoly((third, 1), 1000), 1000, bound) == [F(1, 3), 1]
     assert _reconstruct_coeffs(ComplexPoly((near, 1), 1000), 1000, bound) is None
+
+
+def test_certification_requires_the_decoding_radius():
+    # a 2000-bit rebuild 2^-550 away from 1/3 agrees to tolerance(1000) =
+    # 2^-500, but lies outside the radius 2^-601 of B = 2^300: refused
+    bound = 1 << 300
+    with mp.workprec(2064):
+        third = mpc(1) / 3
+        near = third + mpc(2) ** -550
+    assert _certify([F(1, 3), F(1)], ComplexPoly((third, 1), 2000), 1000, bound)
+    assert not _certify([F(1, 3), F(1)], ComplexPoly((near, 1), 2000), 1000, bound)
+
+
+def _spy_builds(monkeypatch, build):
+    built = []
+
+    def spy(c, q):
+        built.append(q)
+        return build(c, q)
+
+    monkeypatch.setattr(modpoly, "_build", spy)
+    return built
+
+
+@pytest.mark.parametrize("bound_bits, cap, rungs", [
+    (800, 600, [600]),
+    (64, 1200, [300, 600, 1200]),
+    (256, 2000, [1200, 2000]),  # the 714-bit denominators are refused
+])
+def test_ladder_builds_only_the_rungs_that_can_resolve_the_radius(
+        monkeypatch, bound_bits, cap, rungs):
+    built = _spy_builds(monkeypatch, modpoly._build)
+    ev = evaluated_P2(
+        curve(*GENERIC), 300, reconstruct=True, denom_bound=1 << bound_bits, prec_cap=cap
+    )
+    assert ev.rational_p2 is None
+    assert built == rungs
+
+
+@pytest.mark.parametrize("prec, bound_bits, cap", [
+    (300, 64, 1200), (300, 256, 2000), (300, 800, 4200),
+    (1729, 800, 4200), (1730, 800, 4200), (3000, 1500, 6000),
+])
+def test_skipped_rungs_are_those_that_refuse_a_magnitude_one_coefficient(
+        monkeypatch, prec, bound_bits, cap):
+    # a build whose p2 is never real rejects every rung, so the spy sees the
+    # whole schedule; the exact coefficient 1 is refused only for resolution
+    def unreal(c, q):
+        return SimpleNamespace(p2=ComplexPoly((mpc(1, 1), 1), q))
+
+    built = _spy_builds(monkeypatch, unreal)
+    bound = 1 << bound_bits
+    evaluated_P2(curve(*GENERIC), prec, reconstruct=True, denom_bound=bound, prec_cap=cap)
+    ladder = [prec]
+    while ladder[-1] < cap:
+        ladder.append(min(2 * ladder[-1], cap))
+    assert built[-1] == cap
+    for q in ladder[:-1]:
+        refused = _reconstruct_coeffs(ComplexPoly((1, 1), q), q, bound) is None
+        assert refused == (q not in built), q
+
+
+def test_a_curve_singular_at_300_bits_reconstructs_when_rung_300_is_skipped(monkeypatch):
+    # one image's discriminant is under the 300-bit threshold; under 2^800
+    # rung 300 cannot resolve the radius, so it is never built
+    defect = curve(1, 0, -3, 2, -1, -2, 1)
+    built = _spy_builds(monkeypatch, modpoly._build)
+    ev = evaluated_P2(defect, 300, reconstruct=True, denom_bound=1 << 800, prec_cap=4200)
+    assert built == [2400, 4800]
+    assert ev.prec == 2400
+    assert max(f.denominator.bit_length() for f in ev.rational_p2) == 189
+    # under 2^64 rung 300 is built, and it still raises
+    with pytest.raises(SingularCurveError):
+        evaluated_P2(defect, 300, reconstruct=True, denom_bound=1 << 64, prec_cap=1200)
 
 
 def test_reconstruction_requires_exact_curve():
