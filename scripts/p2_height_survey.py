@@ -68,8 +68,8 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=601)
     ap.add_argument("--coeff-bound", type=int, default=3,
                     help="integer coefficients drawn from [-B, B] (default 3)")
-    ap.add_argument("--prec", type=int, default=3000,
-                    help="starting precision in bits (default 3000)")
+    ap.add_argument("--prec", type=int, default=6000,
+                    help="starting precision in bits (default 6000)")
     ap.add_argument("--prec-cap", type=int, default=12000,
                     help="precision escalation cap (default 12000)")
     ap.add_argument("--denom-bits", type=int, default=1500,

@@ -31,7 +31,7 @@ import time
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 from .exactnum import (
     DEFAULT_PREC,
@@ -42,6 +42,7 @@ from .exactnum import (
     format_rational,
     horner,
     parse_rational,
+    relative_deviation,
     to_mpc,
     tolerance,
 )
@@ -307,7 +308,7 @@ def _cmd_curve_transform(args) -> HandlerResult:
         work = p + WORK_GUARD
         with mp.workprec(work):
             worst = max(
-                abs(to_mpc(x, work) - to_mpc(y, work)) / max(mpf(1), abs(to_mpc(x, work)))
+                relative_deviation(to_mpc(x, work), to_mpc(y, work))
                 for x, y in zip(before.as_tuple(), after.as_tuple())
             )
         same = worst <= tol
@@ -503,7 +504,7 @@ def _cmd_verify_all(args) -> HandlerResult:
     src = [to_mpc(v, work) for v in g2curve.absolute_igusa(curve).as_tuple()]
     img = [to_mpc(v, work) for v in g2curve.absolute_igusa(back.image).as_tuple()]
     with mp.workprec(work):
-        worst = max(abs(a - b) / max(mpf(1), abs(a)) for a, b in zip(src, img))
+        worst = max(relative_deviation(a, b) for a, b in zip(src, img))
     checks.append(_check("richelot_involution", worst <= tol,
                          "dual step returns the source invariants"))
 
@@ -544,7 +545,7 @@ def _cmd_verify_all(args) -> HandlerResult:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--prec", type=int, default=DEFAULT_PREC,
-                        help="working precision in bits (default 300)")
+                        help=f"working precision in bits (default {DEFAULT_PREC})")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized verification")
     common.add_argument("--out", default=None,

@@ -15,7 +15,9 @@ collected here:
 All floating point work goes through mpmath with explicit binary precision.
 A value "at precision ``prec``" means the computation ran with at least
 ``prec`` mantissa bits; the associated comparison tolerance is
-``2**(-prec/2)`` throughout the package.
+``tolerance(prec)`` = 2**(-prec/2), and ``negligible`` is the one test of
+whether a value vanishes at that tolerance relative to a scale
+(``rational_reconstruct`` alone uses the exact 2**-(prec//2)).
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+import functools
 import hashlib
 import math
 
@@ -68,10 +71,35 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+@functools.lru_cache(maxsize=None)
 def tolerance(prec: int) -> mpf:
-    """The package-wide comparison tolerance ``2**(-prec/2)``."""
+    """The package-wide comparison tolerance ``2**(-prec/2)``.
+
+    Rounded to 64 bits, so it is an exact power of two only for even
+    ``prec``; the value depends on ``prec`` alone and is computed once.
+    """
     with mp.workprec(64):
         return mpf(2) ** (mpf(-prec) / 2)
+
+
+def magnitude(values: Iterable[Scalar]) -> mpf:
+    """``max(1, |v| for v in values)``: the scale a tolerance is relative to."""
+    return max([mpf(1)] + [abs(v) for v in values])
+
+
+def negligible(x: Scalar, prec: int, scale: Iterable[Scalar] = (), power: int = 1) -> bool:
+    """Whether ``|x| <= tolerance(prec) * magnitude(scale)**power``.
+
+    Evaluated at the caller's ambient precision, with the threshold grouped
+    as written, so a caller that precomputes a compound scale passes it as
+    the single entry of ``scale``.
+    """
+    return abs(x) <= tolerance(prec) * magnitude(scale) ** power
+
+
+def relative_deviation(a: Scalar, b: Scalar) -> mpf:
+    """``|a - b| / max(1, |a|)`` at the ambient precision."""
+    return abs(a - b) / magnitude((a,))
 
 
 def mpf_to_fraction(x: mpf) -> Fraction:
@@ -184,9 +212,6 @@ class MultiPoly:
             for i, e in enumerate(exps):
                 degs[i] = max(degs[i], e)
         return tuple(degs)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def evaluate(self, point: Sequence[Scalar]):
         """Evaluate exactly over rationals, or numerically for mpc/mpf points.
@@ -481,8 +506,8 @@ def rational_reconstruct(approx: Union[mpf, Fraction, int, float], denom_bound: 
 
     ``approx`` is taken as exact (mpf values are dyadic rationals) and walked
     through its continued-fraction convergents. The best convergent within
-    the denominator bound is accepted when it matches ``approx`` to the
-    resolution tolerance ``2**(-prec/2)``; otherwise None.
+    the denominator bound is accepted when it matches ``approx`` to within
+    the exact dyadic ``2**-(prec // 2)``; otherwise None.
     """
     if denom_bound < 1:
         raise ValueError("denominator bound must be at least 1")

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpc
 
 from .exactnum import (
     DEFAULT_PREC,
@@ -42,6 +42,8 @@ from .exactnum import (
     WORK_GUARD,
     det_fraction,
     format_rational,
+    magnitude,
+    negligible,
     parse_rational,
     poly_mul,
     to_mpc,
@@ -132,10 +134,10 @@ def validate_curve(coeffs: Sequence[Union[Scalar, str]], prec: Optional[int] = N
 
     roots = complex_roots(curve, p)
     with mp.workprec(p + WORK_GUARD):
-        scale = max([mpf(1)] + [abs(r) for r in roots])
+        scale = (magnitude(roots),)
         for i in range(6):
             for j in range(i + 1, 6):
-                if abs(roots[i] - roots[j]) <= tol * scale:
+                if negligible(roots[i] - roots[j], p, scale):
                     raise SingularCurveError("roots closer than the resolution tolerance")
     return curve
 
@@ -243,8 +245,7 @@ def absolute_igusa(curve: Genus2Curve) -> IgusaTriple:
             if i10 == 0:
                 raise SingularCurveError("discriminant is zero")
         else:
-            scale = max([mpf(1)] + [abs(c) for c in curve.coeffs]) ** 10
-            if abs(i10) <= tolerance(prec) * scale:
+            if negligible(i10, prec, curve.coeffs, 10):
                 raise SingularCurveError("discriminant vanishes at working precision")
         p = _power_table(i2, 5)
         return IgusaTriple(p[5] / i10, p[3] * i4 / i10, p[2] * i6 / i10)
@@ -296,8 +297,7 @@ def transform_model(curve: Genus2Curve, g: Sequence[Sequence[Union[Fraction, int
                          [to_mpc(b, p + WORK_GUARD), to_mpc(a, p + WORK_GUARD)],
                          [to_mpc(d, p + WORK_GUARD), to_mpc(c, p + WORK_GUARD)])
         lead = acc[6]
-        scale = max([mpf(1)] + [abs(x) for x in acc])
-        if abs(lead) <= tolerance(p) * scale:
+        if negligible(lead, p, acc):
             raise ValueError("substitution drops the degree (image of infinity is a root)")
         monic = tuple(mpc(x / lead) for x in acc)
         monic = monic[:6] + (mpc(1),)

@@ -40,7 +40,9 @@ from .exactnum import (
     bareiss_det,
     horner,
     mpf_to_fraction,
+    negligible,
     rational_reconstruct,
+    relative_deviation,
     tolerance,
 )
 from .g2curve import Genus2Curve, IgusaTriple, absolute_igusa
@@ -160,12 +162,10 @@ def _image_data(curve: Genus2Curve, prec: int):
     xs = [r.invariants.j1 for r in records]
     j2s = [r.invariants.j2 for r in records]
     j3s = [r.invariants.j3 for r in records]
-    tol = tolerance(prec)
     with mp.workprec(prec + WORK_GUARD):
         for i in range(15):
             for j in range(i + 1, 15):
-                scale = max(mpf(1), abs(xs[i]), abs(xs[j]))
-                if abs(xs[i] - xs[j]) <= tol * scale:
+                if negligible(xs[i] - xs[j], prec, (xs[i], xs[j])):
                     raise CollidingImagesError(
                         f"image invariants {i} and {j} collide at this precision")
     return xs, j2s, j3s
@@ -263,14 +263,13 @@ def _reconstruct_coeffs(p2: ComplexPoly, prec: int,
     integer); rungs whose resolution is coarser than the radius are
     rejected outright so the caller escalates.
     """
-    tol = tolerance(prec)
     radius = _decoding_radius(denom_bound)
     resolution = _resolution(prec)
     out: List[Fraction] = []
     with mp.workprec(prec + WORK_GUARD):
         for c in p2.coeffs:
             c = mpc(c)
-            if abs(c.imag) > tol * max(mpf(1), abs(c.real)):
+            if not negligible(c.imag, prec, (c.real,)):
                 return None
             mag = mpf_to_fraction(mpf(abs(c.real)))
             if resolution * max(Fraction(1), mag) > radius / 2:
@@ -288,7 +287,6 @@ def _certify(coeffs: Sequence[Fraction], high: ComplexPoly, prec: int,
              denom_bound: int) -> bool:
     """Every rational agrees with the rebuild ``high`` to ``tolerance(prec)``
     relative and lies within the decoding radius of its real part."""
-    tol = tolerance(prec)
     radius = _decoding_radius(denom_bound)
     with mp.workprec(high.prec + WORK_GUARD):
         for frac, c in zip(coeffs, high.coeffs):
@@ -296,7 +294,7 @@ def _certify(coeffs: Sequence[Fraction], high: ComplexPoly, prec: int,
             num = mpf(frac.numerator)
             den = mpf(frac.denominator)
             err = abs(num / den - c.real) + abs(c.imag)
-            if err > tol * max(mpf(1), abs(c)):
+            if not negligible(err, prec, (c,)):
                 return False
             if abs(mpf_to_fraction(mpf(c.real)) - frac) > radius:
                 return False
@@ -361,10 +359,7 @@ def companion_identity_report(curve: Genus2Curve, prec: int = DEFAULT_PREC,
                 cond_bits = max(cond_bits, int(mp.log(spread / abs(dpx), 2)) + 1)
                 for k, jks in ((2, j2s), (3, j3s)):
                     fx = ft[k](x)
-                    val = fx / dpx
-                    ref = jks[i]
-                    rel = abs(val - ref) / max(mpf(1), abs(ref))
-                    worst[k] = max(worst[k], rel)
+                    worst[k] = max(worst[k], relative_deviation(jks[i], fx / dpx))
                     spread_f = _eval_magnitude(ft[k], x)
                     if abs(fx) > 0:
                         cond_bits = max(cond_bits, int(mp.log(spread_f / abs(fx), 2)) + 1)

@@ -105,25 +105,6 @@ def koecher_check(terms: Mapping[Sequence[int], Union[Fraction, int]]) -> bool:
     return all(cone_valid(idx) or Fraction(c) == 0 for idx, c in terms.items())
 
 
-def series_add(a: FourierSeries, b: FourierSeries) -> FourierSeries:
-    if a.shift != b.shift:
-        raise ValueError("cannot add series with different shifts")
-    order = min(a.order, b.order)
-    out: Dict[ConeIndex, Fraction] = {}
-    for idx, c in a.terms.items():
-        if idx[0] + idx[2] <= order:
-            out[idx] = out.get(idx, Fraction(0)) + c
-    for idx, c in b.terms.items():
-        if idx[0] + idx[2] <= order:
-            out[idx] = out.get(idx, Fraction(0)) + c
-    return FourierSeries(out, order, a.shift)
-
-
-def series_scale(a: FourierSeries, factor: Union[Fraction, int]) -> FourierSeries:
-    factor = Fraction(factor)
-    return FourierSeries({i: c * factor for i, c in a.terms.items()}, a.order, a.shift)
-
-
 def series_mul(a: FourierSeries, b: FourierSeries) -> FourierSeries:
     """Product, truncated to the smaller completeness order; shifts add.
 
@@ -214,20 +195,6 @@ def laurent_quotient(numerator: FourierSeries, cusp: FourierSeries, power: int =
     return FourierSeries(dict(acc.terms), acc.order, numerator.shift + power)
 
 
-# ---------------------------------------------------------------------------
-# datasets
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SeriesDataset:
-    """A named truncated expansion with provenance (file it was loaded from)."""
-
-    name: str
-    series: FourierSeries
-    source: str
-
-
 def save_series(series: FourierSeries, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(f"order {series.order}\n")
@@ -263,13 +230,6 @@ def load_series(path: str) -> FourierSeries:
     if order is None:
         raise ValueError(f"{path}: missing 'order' header")
     return FourierSeries(terms, order, shift)
-
-
-def load_dataset(path: str, name: Optional[str] = None) -> SeriesDataset:
-    series = load_series(path)
-    if name is None:
-        name = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    return SeriesDataset(name=name, series=series, source=path)
 
 
 # ---------------------------------------------------------------------------

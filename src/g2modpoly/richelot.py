@@ -29,7 +29,17 @@ from mpmath import mp, mpc, mpf
 
 import mpmath
 
-from .exactnum import PrecisionError, Scalar, WORK_GUARD, horner, poly_mul, to_mpc, tolerance
+from .exactnum import (
+    DEFAULT_PREC,
+    PrecisionError,
+    Scalar,
+    WORK_GUARD,
+    horner,
+    magnitude,
+    negligible,
+    poly_mul,
+    to_mpc,
+)
 from .g2curve import Genus2Curve, IgusaTriple, absolute_igusa
 
 Quadratic = Tuple[mpc, mpc, mpc]  # (c0, c1, c2), constant first
@@ -123,17 +133,14 @@ def complex_roots(curve: Genus2Curve, prec: int) -> Tuple[mpc, ...]:
             roots = mp.polyroots(coeffs[::-1], maxsteps=200, extraprec=prec // 2 + 60)
         except mpmath.libmp.NoConvergence as exc:
             raise PrecisionError("root finding did not converge; raise the precision") from exc
-        tol = tolerance(prec)
-        coeff_scale = max([mpf(1)] + [abs(c) for c in coeffs])
+        coeff_scale = magnitude(coeffs)
         for r in roots:
-            residual = abs(horner(coeffs, r))
-            scale = coeff_scale * max(mpf(1), abs(r)) ** 6
-            if residual > tol * scale:
+            scale = coeff_scale * magnitude((r,)) ** 6
+            if not negligible(horner(coeffs, r), prec, (scale,)):
                 raise PrecisionError("root residual exceeds the certification tolerance")
         for i in range(6):
             for j in range(i + 1, 6):
-                sep = abs(roots[i] - roots[j])
-                if sep <= tol * max(mpf(1), abs(roots[i]), abs(roots[j])):
+                if negligible(roots[i] - roots[j], prec, (roots[i], roots[j])):
                     raise PrecisionError("roots indistinguishable at this precision")
         ordered = sorted(roots, key=lambda z: (z.real, z.imag))
         return tuple(mpc(r) for r in ordered)
@@ -157,7 +164,7 @@ def enumerate_factorizations(curve: Genus2Curve, prec: int) -> Tuple[QuadraticTr
         return tuple(triples)
 
 
-def bracket(a: Sequence[Scalar], b: Sequence[Scalar], prec: int = 300) -> Quadratic:
+def bracket(a: Sequence[Scalar], b: Sequence[Scalar], prec: int = DEFAULT_PREC) -> Quadratic:
     """[A, B] = A'B - AB' for quadratics, constant coefficient first.
 
     For A = a0 + a1 x + a2 x^2 and B likewise this is
@@ -199,13 +206,11 @@ def richelot_image(triple: QuadraticTriple, prec: Optional[int] = None) -> Riche
     p = prec if prec is not None else triple.prec
     with mp.workprec(p + WORK_GUARD):
         delta = richelot_delta(triple)
-        coeff_scale = max([mpf(1)] + [abs(c) for q in triple.quads for c in q])
-        if abs(delta) <= tolerance(p) * coeff_scale**3:
+        if negligible(delta, p, [c for q in triple.quads for c in q], 3):
             return RichelotStep(triple, delta, None)
         a, b, c = triple.quads
         g = poly_mul(poly_mul(bracket(a, b, p), bracket(a, c, p)), bracket(b, c, p))
-        gscale = max([mpf(1)] + [abs(x) for x in g])
-        if abs(g[6]) <= tolerance(p) * gscale:
+        if negligible(g[6], p, g):
             g = _restore_degree(g, p)
         lead = g[6]
         monic = tuple(mpc(x / lead) for x in g[:6]) + (mpc(1),)
@@ -218,14 +223,12 @@ def _restore_degree(g: Sequence[mpc], prec: int) -> Tuple[mpc, ...]:
     Substitutes x -> t + 1/x and clears denominators, giving coefficient
     reversal of g(x + t); t is a small integer with g(t) well away from 0.
     """
-    tol = tolerance(prec)
-    gscale = max([mpf(1)] + [abs(x) for x in g])
     best_t, best_val = None, mpf(0)
     for t in (0, 1, -1, 2, -2, 3, -3, 4, -4):
         val = abs(horner(g, mpc(t)))
         if val > best_val:
             best_t, best_val = t, val
-    if best_t is None or best_val <= tol * gscale:
+    if best_t is None or negligible(best_val, prec, g):
         raise PrecisionError("could not renormalize a degenerate image model")
     shifted = list(g)
     # Taylor shift: coefficients of g(x + t) via repeated synthetic addition
@@ -251,11 +254,9 @@ def dual_triple(step: RichelotStep) -> QuadraticTriple:
     with mp.workprec(p + WORK_GUARD):
         a, b, c = step.triple.quads
         quads = []
-        tol = tolerance(p)
         for u, v in ((a, b), (a, c), (b, c)):
             q = bracket(u, v, p)
-            scale = max([mpf(1)] + [abs(x) for x in q])
-            if abs(q[2]) <= tol * scale:
+            if negligible(q[2], p, q):
                 raise PrecisionError("degenerate bracket: dual factorization has no monic model")
             quads.append((q[0] / q[2], q[1] / q[2], mpc(1)))
         return QuadraticTriple(tuple(quads), p)

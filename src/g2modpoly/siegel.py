@@ -27,6 +27,7 @@ from .exactnum import (
     PrecisionError,
     WORK_GUARD,
     complex_to_pair,
+    negligible,
     pair_to_complex,
     to_mpc,
     tolerance,
@@ -129,8 +130,7 @@ def symplectic_act(m: SymplecticMatrix, tau: SiegelPoint) -> SiegelPoint:
         num = affine(a, b)
         den = affine(c, d)
         det = den[0][0] * den[1][1] - den[0][1] * den[1][0]
-        scale = max([mpf(1)] + [abs(x) for row in den for x in row]) ** 2
-        if abs(det) <= tolerance(p) * scale:
+        if negligible(det, p, [x for row in den for x in row], 2):
             raise PrecisionError("c tau + d is singular at this precision")
         inv = (
             (den[1][1] / det, -den[0][1] / det),
@@ -250,7 +250,7 @@ def riemann_form_check(tau: SiegelPoint, rng: Optional[random.Random] = None) ->
                  mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)))
             ex = herm(x, y).imag
             exi = herm((1j * x[0], 1j * x[1]), (1j * y[0], 1j * y[1])).imag
-            if abs(ex - exi) > tol * max(1, abs(ex)):
+            if not negligible(ex - exi, p, (ex,)):
                 ok_i = False
                 break
         checks.append(CheckResult("compatible_with_complex_structure", ok_i,

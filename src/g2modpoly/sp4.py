@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 Mat2 = Tuple[Tuple[int, int], Tuple[int, int]]
 Mat4 = Tuple[Tuple[int, int, int, int], ...]
@@ -120,49 +120,6 @@ class SymplecticMatrix:
 
 IDENTITY = SymplecticMatrix(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
 J_MATRIX = SymplecticMatrix(J4)
-
-
-def _sym2(m: Mat2) -> bool:
-    return m[0][1] == m[1][0]
-
-
-def _mul2(x: Mat2, y: Mat2) -> Mat2:
-    return (
-        (x[0][0] * y[0][0] + x[0][1] * y[1][0], x[0][0] * y[0][1] + x[0][1] * y[1][1]),
-        (x[1][0] * y[0][0] + x[1][1] * y[1][0], x[1][0] * y[0][1] + x[1][1] * y[1][1]),
-    )
-
-
-def _t2(m: Mat2) -> Mat2:
-    return ((m[0][0], m[1][0]), (m[0][1], m[1][1]))
-
-
-def block_relation_report(matrix: Sequence[Sequence[int]]) -> Dict[str, bool]:
-    """Which candidate block characterizations hold for this matrix.
-
-    ``row_*`` and ``col_*`` together are equivalent to symplecticity. The
-    ``printed_*`` variants (a b^T = b^T a and c d^T = d^T c, mixing a product
-    with its transposed-factor counterpart) are a plausible misreading that
-    genuinely differs: symplectic witnesses falsify them.
-    """
-    m = SymplecticMatrix.__new__(SymplecticMatrix)  # bypass validation
-    object.__setattr__(m, "rows", _as_rows(matrix))
-    a, b, c, d = m.a, m.b, m.c, m.d
-    ident = ((1, 0), (0, 1))
-
-    def sub(x: Mat2, y: Mat2) -> Mat2:
-        return tuple(tuple(p - q for p, q in zip(rx, ry)) for rx, ry in zip(x, y))
-
-    return {
-        "row_abT_symmetric": _sym2(_mul2(a, _t2(b))),
-        "row_cdT_symmetric": _sym2(_mul2(c, _t2(d))),
-        "row_adT_minus_bcT_identity": sub(_mul2(a, _t2(d)), _mul2(b, _t2(c))) == ident,
-        "col_aTc_symmetric": _sym2(_mul2(_t2(a), c)),
-        "col_bTd_symmetric": _sym2(_mul2(_t2(b), d)),
-        "col_aTd_minus_cTb_identity": sub(_mul2(_t2(a), d), _mul2(_t2(c), b)) == ident,
-        "printed_abT_equals_bTa": _mul2(a, _t2(b)) == _mul2(_t2(b), a),
-        "printed_cdT_equals_dTc": _mul2(c, _t2(d)) == _mul2(_t2(d), c),
-    }
 
 
 def in_gamma0(matrix: Sequence[Sequence[int]], p: int) -> bool:

@@ -18,11 +18,13 @@ from g2modpoly.exactnum import (
     horner,
     mpf_to_fraction,
     mpf_to_str,
+    negligible,
     nullspace,
     pair_to_complex,
     parse_rational,
     poly_mul,
     rational_reconstruct,
+    relative_deviation,
     str_to_mpf,
     to_mpc,
     tolerance,
@@ -57,6 +59,72 @@ def test_format_parse_roundtrip(q):
 def test_tolerance_is_half_the_precision():
     assert tolerance(300) == mpf(2) ** -150
     assert tolerance(64) == mpf(2) ** -32
+
+
+def test_tolerance_is_computed_once_per_precision():
+    assert tolerance(301) is tolerance(301)
+    assert tolerance(301) != tolerance(300)
+
+
+AMBIENT = 200
+
+
+def _ulp_above(x, bits=AMBIENT):
+    """The next value above a positive x that is representable in ``bits`` bits."""
+    return x + mp.ldexp(mpf(1), x.exp + x.bc - bits)
+
+
+# (prec, scale, power, threshold factor): the threshold is
+# tolerance(prec) * factor, where factor = max(1, |s| for s in scale)**power
+NEGLIGIBLE_CASES = [
+    (300, (), 1, 1),                              # no scale: the bare tolerance
+    (301, (), 1, 1),                              # odd prec: tolerance is not a power of 2
+    (300, (mpf(3),), 1, 3),
+    (301, (mpf(3),), 1, 3),
+    (300, (mpf("0.25"),), 1, 1),                  # scales below 1 floor at 1
+    (301, (mpf("0.25"), mpf("-0.5")), 4, 1),      # the floor holds under a power too
+    (300, (mpf(2),), 3, 8),                       # power raises the scale
+    (301, (mpf(-2), mpf("1.5")), 10, 1024),       # the largest |s| sets the scale
+    (300, (mpc(3, 4), mpc(0, 1)), 2, 25),         # complex entries by modulus
+]
+
+
+@pytest.mark.parametrize("prec, scale, power, factor", NEGLIGIBLE_CASES)
+def test_negligible_accepts_the_threshold_and_refuses_one_ulp_above(prec, scale, power, factor):
+    with mp.workprec(AMBIENT):
+        threshold = tolerance(prec) * factor
+        above = _ulp_above(threshold)
+        assert above > threshold
+        for sign in (1, -1):
+            assert negligible(sign * threshold, prec, scale, power)
+            assert not negligible(sign * above, prec, scale, power)
+        assert negligible(mpc(0, threshold), prec, scale, power)
+        assert not negligible(mpc(0, above), prec, scale, power)
+
+
+def test_negligible_rounds_at_the_ambient_precision():
+    # for odd prec, tolerance(prec) * 5 needs 66 bits; at 53 bits the
+    # threshold is that product rounded (here upward), as an inline
+    # product at the caller's precision would be
+    with mp.workprec(AMBIENT):
+        exact = tolerance(301) * 5
+    with mp.workprec(53):
+        rounded = tolerance(301) * 5
+        assert rounded > exact
+        assert negligible(rounded, 301, (mpf(5),))
+        assert not negligible(_ulp_above(rounded, 53), 301, (mpf(5),))
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    (mpf(8), mpf(2), mpf("0.75")),                # |8 - 2| / 8
+    (mpf(2), mpf(8), mpf(3)),                     # relative to the first argument
+    (mpf("0.5"), mpf(0), mpf("0.5")),             # below 1 the denominator is 1
+    (mpc(3, 4), mpc(0, 0), mpf(1)),               # |3+4i| / |3+4i|
+    (mpc(0, -8), mpc(0, -6), mpf("0.25")),        # |-2i| / 8
+])
+def test_relative_deviation_against_hand_computed_values(a, b, expected):
+    with mp.workprec(AMBIENT):
+        assert relative_deviation(a, b) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +389,6 @@ def test_multipoly_load_rejects_duplicate_terms(tmp_path):
 def test_multipoly_degrees():
     p = MultiPoly(("x", "y"), {(2, 1): Fraction(1), (0, 3): Fraction(1)})
     assert p.degrees() == (2, 3)
-    assert p.total_degree() == 3
 
 
 # ---------------------------------------------------------------------------

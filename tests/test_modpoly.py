@@ -174,9 +174,10 @@ def test_evaluated_p2_vanishes_at_image_invariants():
 
 
 def test_reconstruction_succeeds_at_adequate_parameters():
-    # denominators of this curve's coefficients need up to 714 bits; with
-    # bound 2^800 the decoding radius 2^-1601 requires roughly 4200 bits of
-    # working precision (coefficients reach 2^477 in magnitude)
+    # denominators of this curve's coefficients need up to 714 bits; under
+    # bound 2^800 (decoding radius 2^-1601) a ladder started at 300 bits
+    # certifies it at 2400 bits, which resolves its largest coefficient
+    # (2^477) to 2^-1795; this call builds at 4200 bits directly
     ev = evaluated_P2(
         curve(*GENERIC), 4200, reconstruct=True, denom_bound=1 << 800, prec_cap=4200
     )

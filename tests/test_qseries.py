@@ -12,20 +12,16 @@ from g2modpoly.qseries import (
     FourierSeries,
     NotAUnitError,
     NotCuspNormalizedError,
-    SeriesDataset,
     cone_indices,
     cone_valid,
     fit_coefficients,
     is_cusp_normalized,
     koecher_check,
     laurent_quotient,
-    load_dataset,
     load_series,
     save_series,
-    series_add,
     series_invert,
     series_mul,
-    series_scale,
 )
 
 F = Fraction
@@ -133,23 +129,6 @@ def test_ring_laws(a, b, c):
     left = series_mul(series_mul(a, b), c)
     right = series_mul(a, series_mul(b, c))
     assert dict(left.terms) == dict(right.terms)
-    dist_l = series_mul(a, series_add(b, c))
-    dist_r = series_add(series_mul(a, b), series_mul(a, c))
-    assert dict(dist_l.terms) == dict(dist_r.terms)
-
-
-def test_add_requires_matching_shifts():
-    a = FourierSeries({(1, 1, 1): F(1)}, 6, shift=1)
-    b = FourierSeries({(1, 1, 1): F(1)}, 6, shift=0)
-    with pytest.raises(ValueError):
-        series_add(a, b)
-
-
-def test_scale_and_add_are_pointwise():
-    a = FourierSeries({(1, 1, 1): F(2)}, 6)
-    assert series_scale(a, F(1, 2)).coefficient((1, 1, 1)) == F(1)
-    s = series_add(a, series_scale(a, -1))
-    assert len(s) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +264,6 @@ def test_series_file_rejects_duplicates_and_missing_order(tmp_path):
     missing.write_text("0 0 0 1\n")
     with pytest.raises(ValueError):
         load_series(str(missing))
-
-
-def test_dataset_load_carries_name_and_source(tmp_path):
-    path = tmp_path / "chi.series"
-    save_series(cusp_monomial(), str(path))
-    ds = load_dataset(str(path), name="chi10")
-    assert isinstance(ds, SeriesDataset)
-    assert ds.name == "chi10"
-    assert dict(ds.series.terms) == {(1, 1, 1): F(1)}
 
 
 # ---------------------------------------------------------------------------

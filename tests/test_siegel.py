@@ -179,3 +179,9 @@ def test_certificate_reports_precision_failure_for_flat_point():
     first = report.checks[0]
     assert first.name == "imaginary_part_positive_definite"
     assert not first.passed
+
+
+def test_certificate_fails_every_check_on_a_nan_entry():
+    # a NaN never counts as negligible, so no check passes on NaN data
+    report = riemann_form_check(_point(2j, mpc(mpf("0.1"), mpf("nan")), 3j))
+    assert not any(c.passed for c in report.checks)

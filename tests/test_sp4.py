@@ -11,7 +11,6 @@ from g2modpoly.sp4 import (
     MAX_ENUM_P,
     CosetSet,
     SymplecticMatrix,
-    block_relation_report,
     coset_representatives,
     enumerate_isotropic_planes,
     gamma0_index,
@@ -23,14 +22,6 @@ from g2modpoly.sp4 import (
     random_symplectic,
     symplectic_pairing,
     verify_coset_set,
-)
-
-# a symplectic matrix that falsifies the transposed-factor block relations
-PRINTED_RELATION_WITNESS = (
-    (1, -2, 0, -1),
-    (-8, 4, -2, 1),
-    (-3, 2, -1, 0),
-    (5, -3, 1, -1),
 )
 
 
@@ -78,35 +69,6 @@ def test_inverse_and_product_are_exact():
     for _ in range(100):
         m = random_symplectic(rng)
         assert (m @ m.inverse()).rows == IDENTITY.rows
-
-
-# ---------------------------------------------------------------------------
-# block relations
-# ---------------------------------------------------------------------------
-
-
-def test_row_and_column_block_relations_hold_for_symplectic_matrices():
-    rng = random.Random(99)
-    keys = (
-        "row_abT_symmetric",
-        "row_cdT_symmetric",
-        "row_adT_minus_bcT_identity",
-        "col_aTc_symmetric",
-        "col_bTd_symmetric",
-        "col_aTd_minus_cTb_identity",
-    )
-    for _ in range(200):
-        report = block_relation_report(random_symplectic(rng))
-        assert all(report[k] for k in keys)
-
-
-def test_transposed_factor_variant_is_falsified_by_witness():
-    assert is_symplectic(PRINTED_RELATION_WITNESS)
-    report = block_relation_report(PRINTED_RELATION_WITNESS)
-    assert report["row_abT_symmetric"]
-    assert report["row_cdT_symmetric"]
-    assert not report["printed_abT_equals_bTa"]
-    assert not report["printed_cdT_equals_dTc"]
 
 
 # ---------------------------------------------------------------------------
