@@ -33,7 +33,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     coeffs = tuple(parse_rational(s.strip()) for s in args.curve.split(","))
-    curve = g2curve.validate_curve(coeffs, prec=args.prec)
+    curve = g2curve.validate_curve(coeffs)
     print(f"curve: y^2 = f(x) with ascending coefficients {list(map(str, coeffs))}")
 
     triple = g2curve.absolute_igusa(curve)

@@ -70,17 +70,25 @@ def _matrix_rows(doc, size: int = 4) -> Tuple[Tuple[int, ...], ...]:
     """Accept a row-major nested list or a flat list of integer strings."""
     if isinstance(doc, dict):
         doc = doc.get("rows", doc)
-    entries = list(doc)
-    if len(entries) == size and all(isinstance(r, (list, tuple)) for r in entries):
-        rows = [[int(str(x)) for x in r] for r in entries]
-    elif len(entries) == size * size:
-        flat = [int(str(x)) for x in entries]
+    if not isinstance(doc, list):
+        raise ValueError(f"expected a {size}x{size} matrix as a JSON list")
+    if len(doc) == size and all(isinstance(r, (list, tuple)) for r in doc):
+        rows = [[int(str(x)) for x in r] for r in doc]
+    elif len(doc) == size * size:
+        flat = [int(str(x)) for x in doc]
         rows = [flat[i * size:(i + 1) * size] for i in range(size)]
     else:
         raise ValueError(f"expected a {size}x{size} matrix (nested or flat row-major)")
     if any(len(r) != size for r in rows):
         raise ValueError(f"expected {size} entries per row")
     return tuple(tuple(r) for r in rows)
+
+
+def _rational_list(values, what: str) -> List[Fraction]:
+    """Parse a JSON list of rationals; anything but a list is refused."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list")
+    return [parse_rational(str(x)) for x in values]
 
 
 def _matrix_doc(rows: Sequence[Sequence[int]]) -> List[List[str]]:
@@ -114,6 +122,8 @@ def _poly_doc(p: ComplexPoly, prec: int) -> List[List[str]]:
 
 def _load_tau(path: str, prec: int) -> siegelmod.SiegelPoint:
     doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise ValueError("Siegel point JSON must be an object")
     if "prec" not in doc:
         doc = dict(doc)
         doc["prec"] = prec
@@ -249,12 +259,12 @@ def _cmd_qexp_check(args) -> HandlerResult:
 
 def _cmd_qexp_fit(args) -> HandlerResult:
     doc = _load_json(args.system)
-    if not isinstance(doc, dict) or "rows" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("rows"), list):
         raise ValueError('fit system JSON must be an object with a "rows" list')
-    rows = [[parse_rational(str(x)) for x in row] for row in doc["rows"]]
+    rows = [_rational_list(row, "each fit row") for row in doc["rows"]]
     rhs = None
     if doc.get("rhs") is not None:
-        rhs = [parse_rational(str(x)) for x in doc["rhs"]]
+        rhs = _rational_list(doc["rhs"], '"rhs"')
     solution = qseries.fit_coefficients(rows, rhs)
     results = {
         "mode": "affine" if rhs is not None else "homogeneous",
@@ -269,60 +279,36 @@ def _cmd_qexp_fit(args) -> HandlerResult:
 
 
 def _cmd_curve_validate(args) -> HandlerResult:
-    curve = g2curve.load_curve(args.infile, args.prec)
-    results = {
-        "f": [format_rational(Fraction(c)) for c in curve.coeffs] if curve.is_exact
-        else [complex_to_pair(c, curve.working_prec()) for c in curve.coeffs],
-        "exact": curve.is_exact,
-    }
+    curve = g2curve.load_curve(args.infile)
+    results = {"f": g2curve.curve_to_json(curve)["f"], "exact": True}
     checks = [_check("monic_separable_sextic", True,
                      "degree 6, leading coefficient 1, no repeated roots")]
     return ({"in": args.infile}, results, checks)
 
 
 def _cmd_curve_invariants(args) -> HandlerResult:
-    curve = g2curve.load_curve(args.infile, args.prec)
-    ic = g2curve.igusa_clebsch(curve)
-    triple = g2curve.absolute_igusa(curve)
-    prec = curve.working_prec()
+    curve = g2curve.load_curve(args.infile)
     results = {
-        "exact": curve.is_exact,
-        "igusa_clebsch": _triple_doc(ic, prec),
-        "absolute": _triple_doc(triple, prec),
+        "exact": True,
+        "igusa_clebsch": _triple_doc(g2curve.igusa_clebsch(curve), args.prec),
+        "absolute": _triple_doc(g2curve.absolute_igusa(curve), args.prec),
     }
     return ({"in": args.infile}, results, [])
 
 
 def _cmd_curve_transform(args) -> HandlerResult:
-    curve = g2curve.load_curve(args.infile, args.prec)
+    curve = g2curve.load_curve(args.infile)
     rows = _matrix_rows(_load_json(args.matrix), size=2)
     moved = g2curve.transform_model(curve, rows)
-    before = g2curve.absolute_igusa(curve)
-    after = g2curve.absolute_igusa(moved)
-    if curve.is_exact:
-        same = before.as_tuple() == after.as_tuple()
-        detail = "exact equality of absolute invariants"
-    else:
-        p = curve.working_prec()
-        tol = tolerance(p)
-        work = p + WORK_GUARD
-        with mp.workprec(work):
-            worst = max(
-                relative_deviation(to_mpc(x, work), to_mpc(y, work))
-                for x, y in zip(before.as_tuple(), after.as_tuple())
-            )
-        same = worst <= tol
-        detail = f"worst relative deviation {worst}"
-    results = {
-        "f": [format_rational(Fraction(c)) for c in moved.coeffs] if moved.is_exact
-        else [complex_to_pair(c, moved.working_prec()) for c in moved.coeffs],
-        "exact": moved.is_exact,
-    }
+    same = g2curve.absolute_igusa(curve) == g2curve.absolute_igusa(moved)
+    doc = g2curve.curve_to_json(moved)
     if args.save:
         with open(args.save, "w") as fh:
-            json.dump(g2curve.curve_to_json(moved), fh, indent=2)
+            json.dump(doc, fh, indent=2)
             fh.write("\n")
-    checks = [_check("absolute_invariants_preserved", same, detail)]
+    results = {"f": doc["f"], "exact": True}
+    checks = [_check("absolute_invariants_preserved", same,
+                     "exact equality of absolute invariants")]
     return ({"in": args.infile, "matrix": args.matrix}, results, checks)
 
 
@@ -332,7 +318,7 @@ def _cmd_curve_transform(args) -> HandlerResult:
 
 
 def _cmd_richelot_all(args) -> HandlerResult:
-    curve = g2curve.load_curve(args.infile, args.prec)
+    curve = g2curve.load_curve(args.infile)
     prec = args.prec
     records = richelotmod.all_isogenous_invariants(curve, prec)
     steps = []
@@ -355,7 +341,7 @@ def _cmd_richelot_all(args) -> HandlerResult:
 
 
 def _cmd_modpoly_eval2(args) -> HandlerResult:
-    curve = g2curve.load_curve(args.infile, args.prec)
+    curve = g2curve.load_curve(args.infile)
     built = modpolymod.evaluated_P2(
         curve, args.prec,
         reconstruct=args.reconstruct,
@@ -391,7 +377,7 @@ def _cmd_modpoly_eval2(args) -> HandlerResult:
 
 
 def _cmd_modpoly_ftilde(args) -> HandlerResult:
-    curve = g2curve.load_curve(args.infile, args.prec)
+    curve = g2curve.load_curve(args.infile)
     poly = modpolymod.evaluated_Ftilde(curve, args.k, args.prec)
     checks = [_check("degree_at_most_14", poly.degree <= 14, f"degree {poly.degree}")]
     return ({"in": args.infile, "k": args.k},
@@ -400,31 +386,24 @@ def _cmd_modpoly_ftilde(args) -> HandlerResult:
 
 def _cmd_modpoly_l2(args) -> HandlerResult:
     if args.infile:
-        curve = g2curve.load_curve(args.infile, args.prec)
-        triple = g2curve.absolute_igusa(curve)
+        triple = g2curve.absolute_igusa(g2curve.load_curve(args.infile))
         inputs: Dict[str, object] = {"in": args.infile}
-        value = modpolymod.l2_evaluate(triple, args.prec)
+        value = modpolymod.l2_evaluate(triple)
     else:
         if args.j1 is None or args.j2 is None or args.j3 is None:
             raise ValueError("provide either --in or all of --j1 --j2 --j3")
         point = (parse_rational(args.j1), parse_rational(args.j2), parse_rational(args.j3))
         inputs = {"j1": args.j1, "j2": args.j2, "j3": args.j3}
         value = modpolymod.l2_evaluate(point)
-    if isinstance(value, Fraction):
-        rendered: object = format_rational(value)
-        is_zero = value == 0
-    else:
-        rendered = complex_to_pair(value, args.prec)
-        is_zero = abs(value) <= tolerance(args.prec)
-    return (inputs, {"value": rendered, "split_locus_member": is_zero}, [])
+    return (inputs, {"value": format_rational(value), "split_locus_member": value == 0}, [])
 
 
 def _cmd_modpoly_degprof(args) -> HandlerResult:
     doc = _load_json(args.spec)
     if not isinstance(doc, dict) or "num" not in doc or "den" not in doc:
         raise ValueError('degree profile spec needs "num" and "den" coefficient lists')
-    num = [parse_rational(str(c)) for c in doc["num"]]
-    den = [parse_rational(str(c)) for c in doc["den"]]
+    num = _rational_list(doc["num"], '"num"')
+    den = _rational_list(doc["den"], '"den"')
     if not den or all(c == 0 for c in den):
         raise ValueError("denominator must be nonzero")
 
@@ -493,7 +472,7 @@ def _cmd_verify_all(args) -> HandlerResult:
     checks.append(_check("symplectic_action_associative", assoc_ok,
                          "(M N) tau = M (N tau) on samples"))
 
-    curve = g2curve.validate_curve((-2, 3, 1, -1, 0, 2, 1), prec=prec)
+    curve = g2curve.validate_curve((-2, 3, 1, -1, 0, 2, 1))
     records = richelotmod.all_isogenous_invariants(curve, prec)
     checks.append(_check("fifteen_richelot_steps", len(records) == 15,
                          f"{len(records)} factorizations"))

@@ -201,18 +201,6 @@ class MultiPoly:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degrees(self) -> Tuple[int, ...]:
-        """Per-variable maximal exponent (all zeros for the zero polynomial)."""
-        nvars = len(self.variables)
-        degs = [0] * nvars
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                degs[i] = max(degs[i], e)
-        return tuple(degs)
-
     def evaluate(self, point: Sequence[Scalar]):
         """Evaluate exactly over rationals, or numerically for mpc/mpf points.
 

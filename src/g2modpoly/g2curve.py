@@ -1,8 +1,10 @@
 """Genus-2 curves y^2 = f(x) with monic sextic f, and their Igusa invariants.
 
 A curve is stored by the seven coefficients of f, constant term first,
-leading coefficient exactly 1. Coefficients are either all rational
-(Fraction) for exact work or all complex (mpc) at a stated precision.
+leading coefficient exactly 1. Input curves are rational: ``validate_curve``
+and the JSON loaders accept only rational coefficients (Fraction). Complex
+models (mpc coefficients at a stated precision) arise only as Richelot
+images, which ``richelot.richelot_image`` builds directly.
 
 Invariants come in two flavours:
 
@@ -42,12 +44,10 @@ from .exactnum import (
     WORK_GUARD,
     det_fraction,
     format_rational,
-    magnitude,
     negligible,
     parse_rational,
     poly_mul,
     to_mpc,
-    tolerance,
 )
 from .igusa_data import I2_TERMS, I4_TERMS, I6_TERMS
 
@@ -95,50 +95,28 @@ class IgusaTriple:
         return all(isinstance(v, (Fraction, int)) for v in self.as_tuple())
 
 
-def validate_curve(coeffs: Sequence[Union[Scalar, str]], prec: Optional[int] = None) -> Genus2Curve:
-    """Build a curve after checking monicity and separability.
+def validate_curve(coeffs: Sequence[Union[int, Fraction, str]]) -> Genus2Curve:
+    """Build a rational curve after checking monicity and separability.
 
-    Rational input is checked exactly (discriminant nonzero); complex input
-    is checked numerically at ``prec`` via pairwise root distances.
+    Each coefficient is an int, a Fraction or a rational string; anything
+    else (a float, an mpc value) is refused with ValueError. Separability
+    is checked exactly: the discriminant I10 must be nonzero.
     """
     if len(coeffs) != 7:
         raise NotMonicError(f"expected 7 coefficients, got {len(coeffs)}")
-    parsed: List[Scalar] = []
-    exact = True
+    parsed: List[Fraction] = []
     for c in coeffs:
         if isinstance(c, str):
             parsed.append(parse_rational(c))
         elif isinstance(c, (int, Fraction)):
             parsed.append(Fraction(c))
         else:
-            parsed.append(c)
-            exact = False
-    if exact:
-        if parsed[6] != 1:
-            raise NotMonicError("leading coefficient must be exactly 1")
-        curve = Genus2Curve(tuple(parsed), prec)
-        if igusa_clebsch(curve)[3] == 0:
-            raise SingularCurveError("sextic has a repeated root (discriminant is zero)")
-        return curve
-    p = prec if prec is not None else DEFAULT_PREC
-    with mp.workprec(p + WORK_GUARD):
-        parsed = [to_mpc(c, p + WORK_GUARD) for c in parsed]
-        lead = parsed[6]
-        tol = tolerance(p)
-        if abs(lead - 1) > tol:
-            raise NotMonicError("leading coefficient must be 1 within tolerance")
-        parsed[6] = mpc(1)
-    curve = Genus2Curve(tuple(parsed), p)
-    # separability via root distances, delegated to the root finder
-    from .richelot import complex_roots
-
-    roots = complex_roots(curve, p)
-    with mp.workprec(p + WORK_GUARD):
-        scale = (magnitude(roots),)
-        for i in range(6):
-            for j in range(i + 1, 6):
-                if negligible(roots[i] - roots[j], p, scale):
-                    raise SingularCurveError("roots closer than the resolution tolerance")
+            raise ValueError(f"coefficient {c!r} is not rational")
+    if parsed[6] != 1:
+        raise NotMonicError("leading coefficient must be exactly 1")
+    curve = Genus2Curve(tuple(parsed))
+    if igusa_clebsch(curve)[3] == 0:
+        raise SingularCurveError("sextic has a repeated root (discriminant is zero)")
     return curve
 
 
@@ -251,57 +229,39 @@ def absolute_igusa(curve: Genus2Curve) -> IgusaTriple:
         return IgusaTriple(p[5] / i10, p[3] * i4 / i10, p[2] * i6 / i10)
 
 
-def transform_model(curve: Genus2Curve, g: Sequence[Sequence[Union[Fraction, int]]],
-                    prec: Optional[int] = None) -> Genus2Curve:
-    """Apply x -> (a x + b)/(c x + d) and renormalize to a monic model.
+def transform_model(curve: Genus2Curve, g: Sequence[Sequence[Union[Fraction, int]]]) -> Genus2Curve:
+    """Apply x -> (a x + b)/(c x + d) to a rational curve and renormalize to a monic model.
 
     ``g`` is a 2x2 matrix ((a, b), (c, d)) with nonzero determinant. The
     substituted sextic is (c x + d)^6 f((a x + b)/(c x + d)); its leading
     coefficient is absorbed into the quadratic twist, which leaves the
     absolute invariants unchanged. Degenerate substitutions (the image of
-    infinity is a root of f, dropping the degree) are rejected.
+    infinity is a root of f, dropping the degree) are rejected, and so is
+    a curve with complex coefficients (a Richelot image).
     """
+    if not curve.is_exact:
+        raise ValueError("only rational curves change model")
     (a, b), (c, d) = g
     a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
     if a * d - b * c == 0:
         raise ValueError("substitution matrix must be invertible")
-    exact = curve.is_exact
-    p = prec if prec is not None else curve.working_prec()
-
-    def substitute(cs, num, den):
-        # sum_i c_i (a x + b)^i (c x + d)^(6 - i)
-        num_pows = [[1]]
-        den_pows = [[1]]
-        for _ in range(6):
-            num_pows.append(poly_mul(num_pows[-1], num))
-            den_pows.append(poly_mul(den_pows[-1], den))
-        acc = [0] * 7
-        for i, coeff in enumerate(cs):
-            if coeff == 0:
-                continue
-            term = poly_mul(num_pows[i], den_pows[6 - i])
-            for k, val in enumerate(term):
-                acc[k] += coeff * val
-        return acc
-
-    if exact:
-        acc = substitute([Fraction(x) for x in curve.coeffs],
-                         [Fraction(b), Fraction(a)], [Fraction(d), Fraction(c)])
-        lead = acc[6]
-        if lead == 0:
-            raise ValueError("substitution drops the degree (image of infinity is a root)")
-        monic = tuple(x / lead for x in acc)
-        return Genus2Curve(monic, curve.prec)
-    with mp.workprec(p + WORK_GUARD):
-        acc = substitute([to_mpc(x, p + WORK_GUARD) for x in curve.coeffs],
-                         [to_mpc(b, p + WORK_GUARD), to_mpc(a, p + WORK_GUARD)],
-                         [to_mpc(d, p + WORK_GUARD), to_mpc(c, p + WORK_GUARD)])
-        lead = acc[6]
-        if negligible(lead, p, acc):
-            raise ValueError("substitution drops the degree (image of infinity is a root)")
-        monic = tuple(mpc(x / lead) for x in acc)
-        monic = monic[:6] + (mpc(1),)
-        return Genus2Curve(monic, p)
+    # sum_i c_i (a x + b)^i (c x + d)^(6 - i)
+    num_pows = [[1]]
+    den_pows = [[1]]
+    for _ in range(6):
+        num_pows.append(poly_mul(num_pows[-1], [b, a]))
+        den_pows.append(poly_mul(den_pows[-1], [d, c]))
+    acc = [0] * 7
+    for i, coeff in enumerate(curve.coeffs):
+        if coeff == 0:
+            continue
+        term = poly_mul(num_pows[i], den_pows[6 - i])
+        for k, val in enumerate(term):
+            acc[k] += coeff * val
+    lead = acc[6]
+    if lead == 0:
+        raise ValueError("substitution drops the degree (image of infinity is a root)")
+    return Genus2Curve(tuple(x / lead for x in acc), curve.prec)
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +275,12 @@ def curve_to_json(curve: Genus2Curve) -> dict:
     return {"f": [format_rational(Fraction(c)) for c in curve.coeffs]}
 
 
-def curve_from_json(doc: dict, prec: Optional[int] = None) -> Genus2Curve:
-    if not isinstance(doc, dict) or "f" not in doc:
+def curve_from_json(doc: dict) -> Genus2Curve:
+    if not isinstance(doc, dict) or not isinstance(doc.get("f"), list):
         raise ValueError('curve JSON must be an object with an "f" list')
-    return validate_curve([str(c) for c in doc["f"]], prec)
+    return validate_curve([str(c) for c in doc["f"]])
 
 
-def load_curve(path: str, prec: Optional[int] = None) -> Genus2Curve:
+def load_curve(path: str) -> Genus2Curve:
     with open(path) as fh:
-        return curve_from_json(json.load(fh), prec)
+        return curve_from_json(json.load(fh))

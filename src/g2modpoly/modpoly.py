@@ -13,12 +13,13 @@ univariate polynomials in X tie these together:
   Ftilde_k(x_i) = P'(x_i) j_k(image_i), so j_2 and j_3 of every image are
   read off from P and the two companions.
 
-``l2_evaluate`` evaluates the split-locus polynomial deciding whether an
-invariant triple belongs to a product of elliptic curves; its 34 terms ship
-as a data file whose integrity (term count, leading term, checksum) is
-enforced on load. ``degree_profile`` recovers the numerator/denominator
-degrees of an unknown rational function from exact samples, which is how
-the degree shape of such relations is measured experimentally.
+``l2_evaluate`` evaluates, exactly at a rational triple, the split-locus
+polynomial deciding whether an invariant triple belongs to a product of
+elliptic curves; its 34 terms ship as a data file whose integrity (term
+count, leading term, checksum) is enforced on load. ``degree_profile``
+recovers the numerator/denominator degrees of an unknown rational function
+from exact samples, which is how the degree shape of such relations is
+measured experimentally.
 """
 
 from __future__ import annotations
@@ -108,24 +109,19 @@ def l2_poly() -> MultiPoly:
     return _l2_cache
 
 
-def l2_evaluate(j: Union[IgusaTriple, Sequence],
-                prec: int = DEFAULT_PREC) -> Union[Fraction, mpc]:
-    """Evaluate the split-locus polynomial at an invariant triple.
+def l2_evaluate(j: Union[IgusaTriple, Sequence]) -> Fraction:
+    """Evaluate the split-locus polynomial exactly at a rational invariant triple.
 
-    Exact Fraction arithmetic for rational triples (zero is then a proof of
-    a split Jacobian); mpc at ``prec`` working bits otherwise.
+    Zero is a proof of a split Jacobian. A triple with an entry that is
+    not an int or a Fraction (a float, an mpc value) is refused with
+    ValueError.
     """
-    if isinstance(j, IgusaTriple):
-        point = j.as_tuple()
-    else:
-        point = tuple(j)
-        if len(point) != 3:
-            raise ValueError("expected a triple (j1, j2, j3)")
-    point = tuple(Fraction(v) if isinstance(v, (int, Fraction)) else v for v in point)
-    if all(isinstance(v, Fraction) for v in point):
-        return l2_poly().evaluate(point)
-    with mp.workprec(prec + WORK_GUARD):
-        return l2_poly().evaluate(point)
+    point = j.as_tuple() if isinstance(j, IgusaTriple) else tuple(j)
+    if len(point) != 3:
+        raise ValueError("expected a triple (j1, j2, j3)")
+    if not all(isinstance(v, (int, Fraction)) for v in point):
+        raise ValueError("the split-locus polynomial is evaluated at rational triples only")
+    return l2_poly().evaluate(tuple(Fraction(v) for v in point))
 
 
 # ---------------------------------------------------------------------------

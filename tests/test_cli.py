@@ -97,22 +97,34 @@ def test_reports_are_byte_identical_across_runs(generic_curve_file, capsys):
     assert len(first) > 1000  # the report carries the full evaluated polynomial
 
 
-# sha256 of json.dumps({"results": ..., "checks": ...}) for the generic curve
-# (inputs are left out: they carry the temporary file paths)
+# sha256 of json.dumps({"results": ..., "checks": ...}); CURVE stands for
+# the generic curve file and MATRIX for [[1, 2], [1, 3]] (inputs are left
+# out: they carry the temporary file paths)
 PINNED_REPORT_SHA256 = {
-    ("modpoly", "eval2"): "f9a2f1d08cc76b6ab60754bf35834f5f8850f0a862a67a3f8c413b37749abbca",
-    ("modpoly", "ftilde", "--k", "2"): "4947adc7ac5eb842937e75e42d5740a3114484922b90b2eb171fa7398dc8da2e",
-    ("richelot", "all"): "5e163fcc95b96a0a9ded607aacf1c7680a6f4ecc9ffa9ec4b42d0394f1144b06",
-    ("curve", "transform"): "31353d367c16050ae740cc6ea2f886aaf4605cad25b50e2c2cccd12567ebe2da",
+    ("modpoly", "eval2", "--in", "CURVE"):
+        "f9a2f1d08cc76b6ab60754bf35834f5f8850f0a862a67a3f8c413b37749abbca",
+    ("modpoly", "ftilde", "--in", "CURVE", "--k", "2"):
+        "4947adc7ac5eb842937e75e42d5740a3114484922b90b2eb171fa7398dc8da2e",
+    ("richelot", "all", "--in", "CURVE"):
+        "5e163fcc95b96a0a9ded607aacf1c7680a6f4ecc9ffa9ec4b42d0394f1144b06",
+    ("curve", "transform", "--in", "CURVE", "--matrix", "MATRIX"):
+        "31353d367c16050ae740cc6ea2f886aaf4605cad25b50e2c2cccd12567ebe2da",
+    ("curve", "validate", "--in", "CURVE"):
+        "6f5891a83f346716ea34e5ad92aa9794ca28ed08a0349ddf41f65e8bb6ec4a1f",
+    ("curve", "invariants", "--in", "CURVE"):
+        "399d75a61b332245457accacf8a1108369497b6e49f638c20eb5e4180757ded2",
+    ("modpoly", "l2", "--in", "CURVE"):
+        "d733b1d4447fba9a50e78de6e065eaed6ac54b195574b0ccf1e9d10f3cb78370",
+    ("modpoly", "l2", "--j1", "1/3", "--j2", "-2", "--j3", "5"):
+        "5f2a1b40b65d66e2e41dcf0bd30fc9848a62aba5c86d07003dfbdb3bf62a713a",
 }
 
 
 def test_reports_match_pinned_digests(tmp_path, generic_curve_file, capsys):
-    matrix = _write_json(tmp_path / "m.json", [[1, 2], [1, 3]])
+    files = {"CURVE": generic_curve_file,
+             "MATRIX": _write_json(tmp_path / "m.json", [[1, 2], [1, 3]])}
     for cmd, expected in PINNED_REPORT_SHA256.items():
-        argv = [cmd[0], cmd[1], "--in", generic_curve_file, *cmd[2:]]
-        if cmd[0] == "curve":
-            argv += ["--matrix", matrix]
+        argv = [files.get(arg, arg) for arg in cmd]
         code, doc, _ = _report(argv, capsys)
         assert code == 0
         body = json.dumps({"results": doc["results"], "checks": doc["checks"]})
@@ -221,6 +233,21 @@ def test_exit_three_for_domain_invalid_inputs(tmp_path, bielliptic_curve_file, c
         ["modpoly", "eval2", "--in", bielliptic_curve_file], capsys)
     assert code == 3
     assert "split" in err.lower()
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["curve", "validate", "--in"], {"f": 5}),
+    (["curve", "transform", "--in", "CURVE", "--matrix"], 5),
+    (["qexp", "fit", "--system"], {"rows": 5}),
+    (["modpoly", "degprof", "--mmax", "1", "--nmax", "1", "--spec"], {"num": 5, "den": [1]}),
+    (["siegel", "check", "--tau"], 5),
+], ids=["curve", "matrix", "fit", "degprof", "tau"])
+def test_exit_three_for_malformed_json_shapes(tmp_path, generic_curve_file, argv, doc, capsys):
+    bad = _write_json(tmp_path / "bad.json", doc)
+    code, out, err = _run([generic_curve_file if a == "CURVE" else a for a in argv] + [bad], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("invalid input:")
 
 
 def test_exit_four_for_precision_failures(clustered_curve_file, capsys):

@@ -386,11 +386,6 @@ def test_multipoly_load_rejects_duplicate_terms(tmp_path):
         MultiPoly.load(str(path), ("x", "y"))
 
 
-def test_multipoly_degrees():
-    p = MultiPoly(("x", "y"), {(2, 1): Fraction(1), (0, 3): Fraction(1)})
-    assert p.degrees() == (2, 3)
-
-
 # ---------------------------------------------------------------------------
 # dense complex polynomials
 # ---------------------------------------------------------------------------

@@ -64,10 +64,11 @@ def test_validate_rejects_non_monic_and_wrong_arity():
         validate_curve([1, 0, 0, 0, 0, 1])
 
 
-def test_validate_accepts_complex_coefficients_at_precision():
-    c = validate_curve([mpc(1, 1), 0, 0, 0, 0, 0, 1], prec=200)
-    assert not c.is_exact
-    assert c.prec == 200
+def test_validate_refuses_non_rational_coefficients():
+    for coeffs in ([mpc(1, 1), 0, 0, 0, 0, 0, 1], [mpc(1), 0, 0, 0, 0, 0, 1],
+                   [0.5, 0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0, 1.0]):
+        with pytest.raises(ValueError):
+            validate_curve(coeffs)
 
 
 def test_validate_split_witness_factors():
@@ -331,17 +332,10 @@ def test_transform_rejects_degree_drop():
         transform_model(c, ((0, 1), (1, 0)))  # 1/x sends the root to infinity
 
 
-def test_complex_transform_matches_exact_transform():
-    exact = curve(-2, 3, 1, -1, 0, 2, 1)
-    approx = validate_curve([mpc(x) for x in (-2, 3, 1, -1, 0, 2, 1)], prec=300)
-    g = ((1, 2), (1, 1))
-    moved_exact = transform_model(exact, g)
-    moved_num = transform_model(approx, g)
-    tol = tolerance(300)
-    with mp.workprec(364):
-        for a, b in zip(moved_exact.coeffs, moved_num.coeffs):
-            aa = to_mpc(a, 364)
-            assert abs(aa - b) <= tol * max(mpf(1), abs(aa))
+def test_transform_refuses_a_numeric_curve():
+    numeric = Genus2Curve(tuple(mpc(x) for x in (-2, 3, 1, -1, 0, 2, 1)), prec=300)
+    with pytest.raises(ValueError):
+        transform_model(numeric, ((1, 2), (1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +352,7 @@ def test_curve_json_roundtrip_exact():
 
 
 def test_curve_json_is_exact_only():
-    c = validate_curve([mpc(1, 1), 0, 0, 0, 0, 0, 1], prec=200)
+    c = Genus2Curve((mpc(1, 1), 0, 0, 0, 0, 0, mpc(1)), prec=200)
     with pytest.raises(ValueError):
         curve_to_json(c)
 

@@ -2,11 +2,13 @@
 
 A function, method or class of ``src/g2modpoly`` whose name appears nowhere
 in ``src/``, ``scripts/`` or ``perfbench/`` apart from its own definition is
-production code that only tests call. Names are matched as whole words in
-the source text, so a string such as ``"cli.dispatch"`` (how perfbench
-patches a layer) counts as a use; so does a mention in prose, which makes
-this a lower bound on dead code. Dunder methods are called by the language
-and are exempt.
+production code that only tests call. A use is an identifier in the syntax
+tree: a name, an attribute, a definition, an argument, a keyword or an
+import alias. A string constant counts only when the whole string is a
+dotted identifier, such as ``"cli.dispatch"`` (how perfbench patches a
+layer). Docstrings, comments and f-string text do not count, so prose that
+happens to use a method's name does not hide it. Dunder methods are called
+by the language and are exempt.
 """
 
 import ast
@@ -17,6 +19,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "g2modpoly"
 SEARCHED = ("src", "scripts", "perfbench")
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 # Read only by the tests, on purpose: acceptance criterion 5 checks the
 # expanded product of a factorization triple through it.
@@ -33,13 +36,41 @@ def _definitions() -> Counter:
     return defined
 
 
+def _identifiers(tree: ast.AST) -> Counter:
+    """Every identifier in ``tree``, and the parts of dotted-identifier strings."""
+    prose = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            prose.add(id(node.value))   # docstrings and other bare strings
+        elif isinstance(node, ast.JoinedStr):
+            prose.update(id(part) for part in node.values)
+    names: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] += 1
+        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+            names[node.arg] += 1
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+            if node.asname:
+                names[node.asname] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in prose and DOTTED.fullmatch(node.value)):
+            names.update(node.value.split("."))
+    return names
+
+
 def test_every_definition_is_named_outside_the_tests():
-    text = "\n".join(
-        path.read_text() for top in SEARCHED for path in sorted((ROOT / top).rglob("*.py"))
-    )
-    words = Counter(re.findall(r"\w+", text))
+    used: Counter = Counter()
+    for top in SEARCHED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            used += _identifiers(ast.parse(path.read_text(), str(path)))
     unused = sorted(
         name for name, count in _definitions().items()
-        if name not in ALLOWED and words[name] <= count
+        if name not in ALLOWED and used[name] <= count
     )
     assert not unused, f"defined in src/g2modpoly but named only by tests: {unused}"

@@ -1,0 +1,29 @@
+"""Smoke tests: the pipeline scripts under ``scripts/`` run end to end.
+
+Each script is loaded from its file and its ``main`` called with small
+settings, so a change to a library signature the scripts use shows here.
+"""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _main(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+def test_eval_p2_demo_runs(capsys):
+    assert _main("eval_p2_demo")(["--prec", "200"]) == 0
+    assert "companion identity certified: True" in capsys.readouterr().out
+
+
+def test_p2_height_survey_runs(capsys):
+    argv = ["--curves", "1", "--denom-bits", "300", "--prec", "1000", "--prec-cap", "2000"]
+    assert _main("p2_height_survey")(argv) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert len(rows) == 1
