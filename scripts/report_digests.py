@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Digests of the reports and rationals the pipeline gives on benchmark curves.
+
+Two source checkouts give the same outputs when this prints the same lines
+in both:
+
+    python3 scripts/report_digests.py --curves 60 --recon 16
+
+The curves are the first ``--curves`` of the benchmark's seeded pool, drawn
+by ``perfbench/workloads.py``. For each of ``modpoly eval2``, ``richelot
+all`` and ``curve invariants`` at the default precision it prints one
+sha256 over every curve's exit status and the report's ``results`` and
+``checks`` (``inputs`` carries the temporary file path, so it is left out,
+as in ``tests/test_cli.py``). Then it prints the sha256 of ``(prec,
+rational_p2)`` from the ``recon-ladder-800`` operation
+(``evaluated_P2(..., reconstruct=True)`` under 2^800 up to 4200 bits) on
+the first ``--recon`` curves. The library and the benchmark modules are
+imported from this checkout.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from g2modpoly import cli  # noqa: E402
+
+import workloads  # noqa: E402
+
+COMMANDS = (("modpoly", "eval2"), ("richelot", "all"), ("curve", "invariants"))
+
+
+def report_digest(command, paths):
+    digest = hashlib.sha256()
+    for path in paths:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.dispatch([*command, "--in", path])
+        body = ""
+        if code == 0:
+            doc = json.loads(out.getvalue())
+            body = json.dumps({"results": doc["results"], "checks": doc["checks"]})
+        digest.update(f"{code}\n{body}\n".encode())
+    return digest.hexdigest()
+
+
+def ladder_digest(curves):
+    run = workloads.ladder_runner(800, 4200)
+    digest = hashlib.sha256()
+    for curve in curves:
+        built = run(curve, None)
+        coeffs = built.rational_p2
+        text = "None" if coeffs is None else workloads.rational_digest(coeffs)
+        digest.update(f"{built.prec}:{text}\n".encode())
+    return digest.hexdigest()
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
+    ap.add_argument("--curves", type=int, default=60,
+                    help="curves whose reports are hashed (default 60)")
+    ap.add_argument("--recon", type=int, default=16,
+                    help="curves whose reconstructed rationals are hashed (default 16)")
+    args = ap.parse_args(argv)
+
+    curves = workloads.random_curves(args.seed, max(args.curves, args.recon))
+    print(f"# seed {args.seed}: {args.curves} report curves, {args.recon} reconstruct curves")
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = workloads.write_curves(curves[:args.curves], tmp)
+        for command in COMMANDS:
+            print(f"{' '.join(command)}: {report_digest(command, paths)}")
+    print(f"reconstruct 2^800 cap 4200: {ladder_digest(curves[:args.recon])}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -44,6 +44,9 @@ from .g2curve import Genus2Curve, IgusaTriple, absolute_igusa
 
 Quadratic = Tuple[mpc, mpc, mpc]  # (c0, c1, c2), constant first
 
+# Bits of the first polyroots seed that complex_roots lifts by Newton steps.
+_SEED_BITS = 100
+
 
 @dataclass(frozen=True)
 class QuadraticTriple:
@@ -122,28 +125,119 @@ def pair_partitions_of_six() -> List[Tuple[Tuple[int, int], Tuple[int, int], Tup
 def complex_roots(curve: Genus2Curve, prec: int) -> Tuple[mpc, ...]:
     """The six roots at precision ``prec``, certified and deterministically sorted.
 
-    Residuals are checked against 2**(-prec/2) relative to the coefficient
-    and root scale; roots closer than that tolerance raise PrecisionError.
+    The roots are those of f with coefficients rounded to ``work = prec +
+    WORK_GUARD`` bits, found in three steps (``_lifted_roots``): seed with
+    ``polyroots`` at about 100 bits; lift each seed by Newton steps that
+    double the precision up to ``work + WORK_GUARD`` bits; round with
+    ``polyroots``' own clean-up to ``work`` bits. Seeds that are not
+    separated, or that Newton does not contract, are redone at twice the
+    precision, up to one full ``polyroots`` call at ``work`` bits. The
+    roots equal that call's bit for bit unless a component lies within
+    about 2**-64 of a rounding tie.
+
+    The certificate does not depend on how the roots were found. Residuals
+    are checked against 2**(-prec/2) relative to the coefficient and root
+    scale; roots closer than that tolerance, or a full ``polyroots`` call
+    that does not converge, raise PrecisionError.
     Sorting is lexicographic by (real, imaginary).
     """
     work = prec + WORK_GUARD
     with mp.workprec(work):
         coeffs = [to_mpc(c, work) for c in curve.coeffs]
-        try:
-            roots = mp.polyroots(coeffs[::-1], maxsteps=200, extraprec=prec // 2 + 60)
-        except mpmath.libmp.NoConvergence as exc:
-            raise PrecisionError("root finding did not converge; raise the precision") from exc
+        roots = _lifted_roots(coeffs, prec)
         coeff_scale = magnitude(coeffs)
         for r in roots:
             scale = coeff_scale * magnitude((r,)) ** 6
             if not negligible(horner(coeffs, r), prec, (scale,)):
                 raise PrecisionError("root residual exceeds the certification tolerance")
-        for i in range(6):
-            for j in range(i + 1, 6):
-                if negligible(roots[i] - roots[j], prec, (roots[i], roots[j])):
-                    raise PrecisionError("roots indistinguishable at this precision")
+        if not _separated(roots, prec):
+            raise PrecisionError("roots indistinguishable at this precision")
         ordered = sorted(roots, key=lambda z: (z.real, z.imag))
         return tuple(mpc(r) for r in ordered)
+
+
+def _separated(roots: Sequence[mpc], prec: int) -> bool:
+    """Whether no two roots agree to ``tolerance(prec)`` relative to their size."""
+    return not any(negligible(roots[i] - roots[j], prec, (roots[i], roots[j]))
+                   for i in range(len(roots)) for j in range(i + 1, len(roots)))
+
+
+def _lifted_roots(coeffs: Sequence[mpc], prec: int) -> List[mpc]:
+    """The roots ``polyroots`` finds at ``work = prec + WORK_GUARD`` bits, found cheaply.
+
+    A seed from ``polyroots`` at ``bits`` is lifted when its roots are
+    separated at ``bits`` (``complex_roots``' test at that precision), and
+    the lift is kept when every root passes ``_newton_lift``'s check and
+    the lifted roots are still separated (no two seeds found the same
+    root). Otherwise ``bits`` doubles; at ``work`` the seed is the
+    full-precision call, returned as it is.
+    """
+    work = prec + WORK_GUARD
+    top = work + WORK_GUARD
+    with mp.workprec(top):
+        deriv = [k * c for k, c in enumerate(coeffs)][1:]
+    bits = _SEED_BITS
+    while True:
+        bits = min(bits, work)
+        with mp.workprec(bits):
+            try:
+                seeds = mp.polyroots(coeffs[::-1], maxsteps=200,
+                                     extraprec=(bits - WORK_GUARD) // 2 + 60)
+            except mpmath.libmp.NoConvergence as exc:
+                if bits == work:
+                    raise PrecisionError("root finding did not converge; raise the precision") from exc
+                seeds = None
+            if bits == work:
+                return seeds
+            if seeds is not None and _separated(seeds, bits):
+                lifted = [_newton_lift(coeffs, deriv, r, bits, work) for r in seeds]
+                if None not in lifted and _separated(lifted, bits):
+                    return lifted
+        bits *= 2
+
+
+def _newton_lift(coeffs: Sequence[mpc], deriv: Sequence[mpc], root: Scalar,
+                 bits: int, work: int) -> Optional[mpc]:
+    """Newton-lift a root good to about ``bits`` bits, then clean and round it.
+
+    The last step, at ``work + WORK_GUARD`` bits, checks the one before:
+    it must move the root by less than 2**-work relative, or the lift is
+    refused with None. Then ``polyroots``' clean-up zeroes a modulus, an
+    imaginary or a real part below 2**(1-work), and the root is rounded to
+    ``work`` bits.
+    """
+    top = work + WORK_GUARD
+    steps = [top, top]
+    while steps[-1] > bits:
+        # a step from p/2 + 32 bits reaches p bits unless conditioning costs
+        # it more than 32; the check step then refuses the lift
+        steps.append(steps[-1] // 2 + 32)
+    r = root
+    for p in reversed(steps[:-1]):
+        with mp.workprec(p):
+            value = horner(coeffs, r)
+        # the correction is below 2**-(p/2) relative, so p/2 + 32 bits of it
+        # carry r to p bits
+        with mp.workprec(p // 2 + 32):
+            slope = horner(deriv, r)
+            if slope == 0:
+                return None
+            step = value / slope
+        with mp.workprec(p):
+            r = r - step
+    with mp.workprec(64):
+        if step != 0 and abs(step) >= abs(r) * mpf(2) ** -work:
+            return None
+    with mp.workprec(work):
+        tol = +mp.eps
+        re_small, im_small = abs(r.real) < tol, abs(r.imag) < tol
+        if re_small and im_small and abs(r) < tol:
+            return mpf(0)
+        if im_small:
+            return +r.real
+        if re_small:
+            return mpc(0, r.imag)
+        return +r
 
 
 def enumerate_factorizations(curve: Genus2Curve, prec: int) -> Tuple[QuadraticTriple, ...]:

@@ -3,10 +3,11 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 
-from g2modpoly.exactnum import PrecisionError, det_fraction, to_mpc, tolerance
+from g2modpoly.exactnum import WORK_GUARD, PrecisionError, det_fraction, to_mpc, tolerance
 from g2modpoly.g2curve import Genus2Curve, absolute_igusa
 from g2modpoly.richelot import (
     QuadraticTriple,
@@ -76,6 +77,68 @@ def test_clustered_roots_raise_precision_error():
     c = Genus2Curve(tuple(F(x) for x in coeffs))
     with pytest.raises(PrecisionError):
         complex_roots(c, PREC)
+
+
+def _polyroots_roots(c, prec):
+    """The reference roots: one polyroots call at the working precision,
+    sorted as complex_roots sorts; the lifted roots must equal them bit
+    for bit."""
+    work = prec + WORK_GUARD
+    with mp.workprec(work):
+        coeffs = [to_mpc(x, work) for x in c.coeffs]
+        roots = mp.polyroots(coeffs[::-1], maxsteps=200, extraprec=prec // 2 + 60)
+        return [mpc(r) for r in sorted(roots, key=lambda z: (z.real, z.imag))]
+
+
+def _bits(roots):
+    return [(r.real._mpf_, r.imag._mpf_) for r in roots]
+
+
+BIT_IDENTITY_CURVES = (
+    GENERIC,
+    SPLIT_WITNESS,
+    (-1, 0, 0, 0, 0, 0, 1),
+    (F(-7, 3), F(5, 11), F(2, 9), F(-13, 5), F(3, 7), F(-1, 6), 1),
+    (0, 3, -3, 1, 2, 0, 1),  # x (x^2 + 3) (x^3 - x + 1): roots 0 and +-i sqrt(3)
+    # rejected at 300 bits by absolute_igusa's I10 test (ROADMAP item 1)
+    (1, 0, -3, 2, -1, -2, 1),
+    (1, -1, 2, 2, 2, -2, 1),
+    (0, -2, 0, -3, 0, -1, 1),
+)
+
+
+@pytest.mark.parametrize("prec", [300, 301, 2400, 4800])
+def test_lifted_roots_equal_polyroots_bit_for_bit(prec):
+    for coeffs in BIT_IDENTITY_CURVES:
+        c = curve(*coeffs)
+        assert _bits(complex_roots(c, prec)) == _bits(_polyroots_roots(c, prec)), coeffs
+
+
+def test_close_roots_are_reseeded_and_match_polyroots(monkeypatch):
+    # 2^-80 apart: the 100-bit seed cannot separate the pair, the 200-bit
+    # seed can and is lifted
+    coeffs = coeffs_from_roots((F(0), F(1, 2**80), F(1), F(2), F(3), F(4)))
+    c = Genus2Curve(tuple(F(x) for x in coeffs))
+    want = _bits(_polyroots_roots(c, PREC))
+    seed_bits = []
+    polyroots = mp.polyroots
+
+    def recording(*args, **kwargs):
+        seed_bits.append(mp.prec)
+        return polyroots(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "polyroots", recording)
+    assert _bits(complex_roots(c, PREC)) == want
+    assert len(seed_bits) > 1 and seed_bits[-1] < PREC + WORK_GUARD
+
+
+def test_seed_non_convergence_raises_precision_error(monkeypatch):
+    def stuck(*args, **kwargs):
+        raise mpmath.libmp.NoConvergence("no convergence")
+
+    monkeypatch.setattr(mp, "polyroots", stuck)
+    with pytest.raises(PrecisionError):
+        complex_roots(curve(*GENERIC), PREC)
 
 
 def test_factorizations_multiply_back_to_the_model():

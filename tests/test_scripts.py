@@ -27,3 +27,12 @@ def test_p2_height_survey_runs(capsys):
     assert _main("p2_height_survey")(argv) == 0
     rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
     assert len(rows) == 1
+
+
+def test_report_digests_runs(capsys):
+    assert _main("report_digests")(["--curves", "2", "--recon", "0"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    labels = [row.rsplit(": ", 1)[0] for row in rows]
+    assert labels == ["modpoly eval2", "richelot all", "curve invariants",
+                      "reconstruct 2^800 cap 4200"]
+    assert all(len(row.rsplit(": ", 1)[1]) == 64 for row in rows)
