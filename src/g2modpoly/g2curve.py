@@ -159,19 +159,25 @@ def _eval_terms(terms, tables):
     return total
 
 
+def _sylvester_f_fprime(coeffs: Sequence, zero) -> List[list]:
+    """Sylvester matrix of monic sextic f and f' (coefficients constant first):
+    5 shifted rows of f, then 6 of f'; products round at the ambient precision."""
+    f_desc = list(reversed(list(coeffs)))
+    fp_desc = [(6 - i) * f_desc[i] for i in range(6)]
+    a = [[zero] * i + f_desc + [zero] * (4 - i) for i in range(5)]
+    a += [[zero] * i + fp_desc + [zero] * (5 - i) for i in range(6)]
+    return a
+
+
 def _resultant_f_fprime(coeffs: Sequence[Scalar], exact: bool, prec: int) -> Scalar:
     """Res(f, f') for monic sextic f, coefficients constant first."""
     size = 11
     work = prec + WORK_GUARD
     with mp.workprec(work):
         if exact:
-            f_desc, zero = list(reversed(list(coeffs))), 0
+            a = _sylvester_f_fprime(coeffs, 0)
         else:
-            f_desc, zero = [to_mpc(c, work) for c in reversed(list(coeffs))], mpc(0)
-        fp_desc = [(6 - i) * f_desc[i] for i in range(6)]
-    # Sylvester matrix: 5 shifted rows of f, then 6 of f'
-    a = [[zero] * i + f_desc + [zero] * (size - 7 - i) for i in range(5)]
-    a += [[zero] * i + fp_desc + [zero] * (size - 6 - i) for i in range(6)]
+            a = _sylvester_f_fprime([to_mpc(c, work) for c in coeffs], mpc(0))
     if exact:
         return det_fraction(a)
     with mp.workprec(work):

@@ -1,0 +1,346 @@
+"""The evaluated P2 of a rational curve modulo a prime, and the exact check
+of reconstructed rationals against it.
+
+Every step from a curve to its evaluated P2 is algebraic: the six roots,
+the 15 pairings, the brackets and delta, the monic image sextic, its
+Igusa-Clebsch I2 and I10, the image j1 = I2^5/I10 and P2 = prod (X - j1).
+For a prime p at which the roots of f lie in F_{p^2} and nothing on the way
+vanishes, the same formulas run over F_{p^2} with native ints and give P2
+mod p exactly; ``check_mod_p`` compares that with the reduction of
+candidate rationals.
+
+Primes p = 3 (mod 4) are used, so F_{p^2} = F_p[i] with i^2 = -1
+(``Fp2``), counting down from 2^61 - 1. Polynomials over F_p are int lists,
+constant coefficient first, reduced mod p; the shared ``poly_mul``,
+``horner`` and Igusa term tables run over ``Fp2`` unchanged. Nothing here
+uses ``random``, so every result is deterministic.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterator, List, Optional, Sequence
+
+from .exactnum import horner, poly_mul
+from .g2curve import Genus2Curve, _eval_terms, _power_table, _sylvester_f_fprime
+from .igusa_data import I2_TERMS
+from .richelot import (
+    MOVE_SHIFTS,
+    bracket_formula,
+    delta_formula,
+    moved_model,
+    pair_partitions_of_six,
+)
+
+#: primes tried by ``check_mod_p`` before it gives up; for an S6 sextic at
+#: least 76/720 of primes are usable, so 200 all fail with probability ~1e-10
+PRIME_CANDIDATES = 200
+
+#: the first candidate, 2^61 - 1 (a prime = 3 mod 4)
+TOP_PRIME = (1 << 61) - 1
+
+# fixed shifts a tried by the equal-degree split with (x + a)^((p^d - 1)/2)
+_SPLIT_SHIFTS = 64
+
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# the largest exponent of any coefficient in the I2 table
+_I2_TOP = max(e for mono in I2_TERMS for e in mono)
+
+
+class Fp2:
+    """a + b i in F_p[i] = F_{p^2} for a prime p = 3 (mod 4), i^2 = -1.
+
+    An int operand is an element of F_p, so ``poly_mul``, ``horner`` and
+    ``_eval_terms`` run over this field as they are.
+    """
+
+    __slots__ = ("re", "im", "p")
+
+    def __init__(self, re: int, im: int, p: int) -> None:
+        self.re = re % p
+        self.im = im % p
+        self.p = p
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+    def __add__(self, other):
+        if isinstance(other, Fp2):
+            return Fp2(self.re + other.re, self.im + other.im, self.p)
+        return Fp2(self.re + other, self.im, self.p)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Fp2(-self.re, -self.im, self.p)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, Fp2):
+            a, b, c, d = self.re, self.im, other.re, other.im
+            return Fp2(a * c - b * d, a * d + b * c, self.p)
+        return Fp2(self.re * other, self.im * other, self.p)
+
+    __rmul__ = __mul__
+
+    def __mod__(self, p: int) -> "Fp2":
+        return self  # already reduced
+
+    def inverse(self) -> "Fp2":
+        """1 / (a + b i) = (a - b i) / (a^2 + b^2); raises ValueError on zero."""
+        n = pow(self.re * self.re + self.im * self.im, -1, self.p)
+        return Fp2(self.re * n, -self.im * n, self.p)
+
+
+def field_det(rows: Sequence[Sequence], p: int):
+    """Determinant of a square matrix over F_p (int entries) or F_{p^2}
+    (``Fp2`` entries), by Gaussian elimination."""
+    a = [[x % p for x in row] for row in rows]
+    n = len(a)
+    det = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        pivot = a[k][k]
+        det = det * pivot % p
+        inv = pivot.inverse() if isinstance(pivot, Fp2) else pow(pivot, -1, p)
+        tail = a[k][k + 1:]
+        for i in range(k + 1, n):
+            if a[i][k]:
+                fct = a[i][k] * inv % p
+                a[i][k + 1:] = [(x - fct * y) % p for x, y in zip(a[i][k + 1:], tail)]
+    return det % p
+
+
+def check_mod_p(curve: Genus2Curve, rationals: Sequence[Fraction]) -> Optional[int]:
+    """The prime at which the rationals agree with the evaluated P2 mod p, or None.
+
+    ``rationals`` are the 16 coefficients of P2, constant first. The prime
+    is the first usable one, counting down from 2^61 - 1 through primes
+    p = 3 (mod 4): p divides no denominator of the curve or of the
+    rationals, f is separable mod p with every root in F_{p^2}, and for
+    every pairing delta, the image's leading coefficient (after the model
+    move ``richelot_image`` makes when it vanishes) and the image's I10 are
+    nonzero. At that prime P2 mod p is computed exactly (``p2_mod_p``); the
+    rationals are refused unless P2 mod p lies in F_p[X] and equals them
+    coefficient by coefficient. When none of the first ``PRIME_CANDIDATES``
+    primes is usable, the result is None as well.
+
+    The check does not depend on the float pipeline: no root, bracket or
+    invariant is shared with it. It is not a proof, since no bound on the
+    height of P2 is known: a wrong rational with a numerator divisible by p
+    would pass. What makes the rationals unique is the decoding-radius
+    check at the reconstruction rung; this check is a second, independent
+    guard against a build that was wrong at that rung.
+    """
+    values = [Fraction(v) for v in curve.coeffs] + [Fraction(r) for r in rationals]
+    for p in _candidate_primes():
+        if any(v.denominator % p == 0 for v in values):
+            continue
+        reduced = [_reduce(v, p) for v in values]
+        p2 = p2_mod_p(reduced[:7], p)
+        if p2 is None:
+            continue
+        if any(c.im for c in p2):
+            return None  # P2 of a rational curve lies in F_p[X]
+        return p if [c.re for c in p2] == reduced[7:] else None
+    return None
+
+
+def p2_mod_p(f: Sequence[int], p: int) -> Optional[List[Fp2]]:
+    """The 16 coefficients of P2 mod p for f mod p, or None when p is not usable.
+
+    ``f`` is the monic sextic reduced mod p, constant first. The roots are
+    found by Cantor-Zassenhaus with fixed shifts; the images follow
+    ``pair_partitions_of_six`` and ``richelot_image``.
+    """
+    if len(_gcd(f, [k * c for k, c in enumerate(f)][1:], p)) != 1:
+        return None  # f is not separable mod p
+    h = _powmod([0, 1], p, f, p)
+    if _compose(h, h, f, p) != [0, 1]:
+        return None  # x^(p^2) != x mod f: a root lies outside F_{p^2}
+    roots = _roots(f, h, p)
+    if roots is None:
+        return None
+    p2 = [Fp2(1, 0, p)]
+    for pairing in pair_partitions_of_six():
+        j1 = _image_j1([(roots[i] * roots[j], -(roots[i] + roots[j]), 1)
+                        for i, j in pairing])
+        if j1 is None:
+            return None
+        p2 = poly_mul(p2, [-j1, 1])
+    return p2
+
+
+def _image_j1(quads) -> Optional[Fp2]:
+    """j1 = I2^5 / I10 of the Richelot image of three monic quadratics."""
+    if not delta_formula(quads):
+        return None
+    a, b, c = quads
+    g = poly_mul(poly_mul(bracket_formula(a, b), bracket_formula(a, c)), bracket_formula(b, c))
+    if not g[6]:
+        t = next((t for t in MOVE_SHIFTS if horner(g, t)), None)
+        if t is None:
+            return None
+        g = moved_model(g, t)
+    inv = g[6].inverse()
+    monic = [x * inv for x in g]
+    i2 = _eval_terms(I2_TERMS, [_power_table(x, _I2_TOP) for x in monic[:6]])
+    i10 = -field_det(_sylvester_f_fprime(monic, 0), inv.p)
+    if not i10:
+        return None
+    return _power_table(i2, 5)[5] * i10.inverse()
+
+
+def _roots(f: List[int], h: List[int], p: int) -> Optional[List[Fp2]]:
+    """The six roots of f in F_{p^2}, given h = x^p mod f; None if a split fails.
+
+    gcd(h - x, f) collects the linear factors over F_p and the cofactor is
+    a product of irreducible quadratics; each part is split into its
+    factors, and x^2 + b x + c gives (-b +- i sqrt(4c - b^2)) / 2.
+    """
+    linear = _gcd(_sub(h, [0, 1], p), f, p)
+    quadratic = _divmod(f, linear, p)[0]
+    lin_factors = _equal_degree_split(linear, 1, p)
+    quad_factors = _equal_degree_split(quadratic, 2, p)
+    if lin_factors is None or quad_factors is None:
+        return None
+    roots = [Fp2(-g[0], 0, p) for g in lin_factors]
+    half = (p + 1) // 2
+    for c, b, _ in quad_factors:
+        # b^2 - 4c is not a square and neither is -1, so 4c - b^2 is one
+        s = pow((4 * c - b * b) % p, (p + 1) // 4, p)
+        roots += [Fp2(-b * half, s * half, p), Fp2(-b * half, -s * half, p)]
+    return roots
+
+
+def _equal_degree_split(g: List[int], d: int, p: int) -> Optional[List[List[int]]]:
+    """The monic degree-``d`` factors of ``g``, a product of distinct ones.
+
+    Cantor-Zassenhaus with the fixed shifts a = 0, 1, ...: gcd(g,
+    (x + a)^((p^d - 1)/2) - 1) collects the factors at which x + a is a
+    square in F_{p^d}. None when no shift splits a part.
+    """
+    if len(g) - 1 <= d:
+        return [g] if len(g) - 1 == d else []
+    e = (p ** d - 1) // 2
+    for a in range(_SPLIT_SHIFTS):
+        u = _gcd(_sub(_powmod([a, 1], e, g, p), [1], p), g, p)
+        if 1 < len(u) < len(g):
+            left = _equal_degree_split(u, d, p)
+            right = _equal_degree_split(_divmod(g, u, p)[0], d, p)
+            if left is None or right is None:
+                return None
+            return left + right
+    return None
+
+
+def _candidate_primes() -> Iterator[int]:
+    """The first ``PRIME_CANDIDATES`` primes p = 3 (mod 4), from 2^61 - 1 down."""
+    n, found = TOP_PRIME, 0
+    while found < PRIME_CANDIDATES:
+        if _is_prime(n):
+            found += 1
+            yield n
+        n -= 4
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24."""
+    if n < 2:
+        return False
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _reduce(q: Fraction, p: int) -> int:
+    """q mod p, for p not dividing the denominator."""
+    return q.numerator * pow(q.denominator, -1, p) % p
+
+
+# ---------------------------------------------------------------------------
+# polynomials over F_p: int lists, constant first, no trailing zeros
+# ---------------------------------------------------------------------------
+
+
+def _trim(u: List[int]) -> List[int]:
+    while u and u[-1] == 0:
+        u.pop()
+    return u
+
+
+def _sub(u: Sequence[int], v: Sequence[int], p: int) -> List[int]:
+    n = max(len(u), len(v))
+    u, v = list(u) + [0] * (n - len(u)), list(v) + [0] * (n - len(v))
+    return _trim([(x - y) % p for x, y in zip(u, v)])
+
+
+def _divmod(u: Sequence[int], m: Sequence[int], p: int):
+    """Quotient and remainder of u by m (nonzero, trimmed) over F_p."""
+    r = [c % p for c in u]
+    dm = len(m) - 1
+    inv = pow(m[-1], -1, p)
+    q = [0] * max(len(r) - dm, 0)
+    for top in range(len(r) - 1, dm - 1, -1):
+        c = r[top] * inv % p
+        if c:
+            q[top - dm] = c
+            for k in range(dm):
+                r[top - dm + k] = (r[top - dm + k] - c * m[k]) % p
+    return _trim(q), _trim(r[:dm])
+
+
+def _mulmod(u: Sequence[int], v: Sequence[int], m: Sequence[int], p: int) -> List[int]:
+    return _divmod(poly_mul(u, v), m, p)[1]
+
+
+def _powmod(u: Sequence[int], e: int, m: Sequence[int], p: int) -> List[int]:
+    """u^e mod m over F_p, by square and multiply."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _mulmod(out, out, m, p)
+        if bit == "1":
+            out = _mulmod(out, u, m, p)
+    return out
+
+
+def _compose(u: Sequence[int], v: Sequence[int], m: Sequence[int], p: int) -> List[int]:
+    """u(v(x)) mod m over F_p, by Horner's rule."""
+    out: List[int] = []
+    for c in reversed(u):
+        out = _sub(_mulmod(out, v, m, p), [-c], p)
+    return out
+
+
+def _gcd(u: Sequence[int], v: Sequence[int], p: int) -> List[int]:
+    """The monic gcd over F_p (u, v not both zero)."""
+    u, v = _trim([c % p for c in u]), _trim([c % p for c in v])
+    while v:
+        u, v = v, _divmod(u, v, p)[1]
+    inv = pow(u[-1], -1, p)
+    return [c * inv % p for c in u]

@@ -7,7 +7,7 @@ univariate polynomials in X tie these together:
 * ``evaluated_P2``: the monic degree-15 polynomial with the x_i as roots.
   For a curve defined over Q its coefficients are rational; they can be
   recovered exactly by continued-fraction reconstruction with precision
-  escalation.
+  escalation, and are checked against P2 modulo a prime (``modp``).
 * ``evaluated_Ftilde`` (k = 2 or 3): the interpolation companion
   sum_i prod_{j != i} (X - x_j) * j_k(image_i), which satisfies
   Ftilde_k(x_i) = P'(x_i) j_k(image_i), so j_2 and j_3 of every image are
@@ -47,6 +47,7 @@ from .exactnum import (
     tolerance,
 )
 from .g2curve import Genus2Curve, IgusaTriple, absolute_igusa
+from .modp import check_mod_p, field_det
 from .richelot import all_isogenous_invariants
 
 DEFAULT_DENOM_BOUND = 1 << 256
@@ -200,12 +201,13 @@ def evaluated_P2(curve: Genus2Curve, prec: int = DEFAULT_PREC, *,
     and the pipeline rerun. Rungs below the cap whose resolution cannot
     resolve the decoding radius ``1/(2 denom_bound^2)`` even for a
     coefficient of magnitude 1 would be rejected whatever they compute, so
-    they are skipped; the cap is always built. A successful reconstruction
-    is certified by recomputing at twice the successful precision, which
-    must agree to the tolerance ``2**(-prec/2)`` relative and lie within
-    the decoding radius of every rational; the result then carries
-    ``rational_p2``. If every rung fails, the highest-precision complex
-    result is returned with ``rational_p2 = None``.
+    they are skipped; the cap is always built. The decoding radius makes
+    the rationals of a rung unique. They are then checked exactly against
+    P2 modulo one prime (``modp.check_mod_p``), which does not depend on
+    the float pipeline but is no proof without a height bound; if they
+    agree, the result carries ``rational_p2`` and the ``prec`` of that
+    rung. If every rung fails, the highest-precision complex result is
+    returned with ``rational_p2 = None``.
     """
     if not reconstruct:
         return _build(curve, prec)
@@ -220,10 +222,7 @@ def evaluated_P2(curve: Genus2Curve, prec: int = DEFAULT_PREC, *,
     for q in rungs:
         result = _build(curve, q)
         coeffs = _reconstruct_coeffs(result.p2, q, denom_bound)
-        if coeffs is None:
-            continue
-        check = _build(curve, 2 * q)
-        if _certify(coeffs, check.p2, q, denom_bound):
+        if coeffs is not None and check_mod_p(curve, coeffs) is not None:
             return EvaluatedModPoly(
                 prec=q, source=result.source, p2=result.p2,
                 ftilde2=result.ftilde2, ftilde3=result.ftilde3,
@@ -277,24 +276,6 @@ def _reconstruct_coeffs(p2: ComplexPoly, prec: int,
                 return None
             out.append(r)
     return out
-
-
-def _certify(coeffs: Sequence[Fraction], high: ComplexPoly, prec: int,
-             denom_bound: int) -> bool:
-    """Every rational agrees with the rebuild ``high`` to ``tolerance(prec)``
-    relative and lies within the decoding radius of its real part."""
-    radius = _decoding_radius(denom_bound)
-    with mp.workprec(high.prec + WORK_GUARD):
-        for frac, c in zip(coeffs, high.coeffs):
-            c = mpc(c)
-            num = mpf(frac.numerator)
-            den = mpf(frac.denominator)
-            err = abs(num / den - c.real) + abs(c.imag)
-            if not negligible(err, prec, (c,)):
-                return False
-            if abs(mpf_to_fraction(mpf(c.real)) - frac) > radius:
-                return False
-    return True
 
 
 def evaluated_Ftilde(curve: Genus2Curve, k: int, prec: int = DEFAULT_PREC) -> ComplexPoly:
@@ -442,26 +423,6 @@ def _relation_matrix_singular(m: int, n: int, xs: Sequence[Fraction],
             prefilter_ok = False
         rows.append(ints)
     if prefilter_ok:
-        if _det_mod(rows, _PREFILTER_PRIME) != 0:
+        if field_det(rows, _PREFILTER_PRIME):
             return False
     return bareiss_det(rows) == 0
-
-
-def _det_mod(rows: Sequence[Sequence[int]], p: int) -> int:
-    a = [[x % p for x in row] for row in rows]
-    n = len(a)
-    det = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = p - det
-        det = (det * a[k][k]) % p
-        inv = pow(a[k][k], p - 2, p)
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = (a[i][k] * inv) % p
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
-    return det % p

@@ -47,6 +47,10 @@ Quadratic = Tuple[mpc, mpc, mpc]  # (c0, c1, c2), constant first
 # Bits of the first polyroots seed that complex_roots lifts by Newton steps.
 _SEED_BITS = 100
 
+#: the integers t tried, in this order, for the model move x -> t + 1/x
+#: that gives a degenerate image sextic its degree back
+MOVE_SHIFTS = (0, 1, -1, 2, -2, 3, -3, 4, -4)
+
 
 @dataclass(frozen=True)
 class QuadraticTriple:
@@ -267,24 +271,35 @@ def bracket(a: Sequence[Scalar], b: Sequence[Scalar], prec: int = DEFAULT_PREC) 
     both monic with equal linear coefficients).
     """
     with mp.workprec(prec + WORK_GUARD):
-        a0, a1, a2 = (to_mpc(c, prec + WORK_GUARD) for c in a)
-        b0, b1, b2 = (to_mpc(c, prec + WORK_GUARD) for c in b)
-        return (
-            a1 * b0 - a0 * b1,
-            2 * (a2 * b0 - a0 * b2),
-            a2 * b1 - a1 * b2,
-        )
+        return bracket_formula([to_mpc(c, prec + WORK_GUARD) for c in a],
+                               [to_mpc(c, prec + WORK_GUARD) for c in b])
+
+
+def bracket_formula(a: Sequence, b: Sequence) -> tuple:
+    """``bracket`` over any ring: mpmath values round at the ambient precision."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (
+        a1 * b0 - a0 * b1,
+        2 * (a2 * b0 - a0 * b2),
+        a2 * b1 - a1 * b2,
+    )
 
 
 def richelot_delta(triple: QuadraticTriple) -> mpc:
     """det of the 3x3 coefficient matrix of (A, B, C) in basis (1, x, x^2)."""
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = triple.quads
     with mp.workprec(triple.prec + WORK_GUARD):
-        return (
-            a0 * (b1 * c2 - b2 * c1)
-            - a1 * (b0 * c2 - b2 * c0)
-            + a2 * (b0 * c1 - b1 * c0)
-        )
+        return delta_formula(triple.quads)
+
+
+def delta_formula(quads: Sequence[Sequence]):
+    """``richelot_delta`` over any ring: mpmath values round at the ambient precision."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = quads
+    return (
+        a0 * (b1 * c2 - b2 * c1)
+        - a1 * (b0 * c2 - b2 * c0)
+        + a2 * (b0 * c1 - b1 * c0)
+    )
 
 
 def richelot_image(triple: QuadraticTriple, prec: Optional[int] = None) -> RichelotStep:
@@ -318,15 +333,19 @@ def _restore_degree(g: Sequence[mpc], prec: int) -> Tuple[mpc, ...]:
     reversal of g(x + t); t is a small integer with g(t) well away from 0.
     """
     best_t, best_val = None, mpf(0)
-    for t in (0, 1, -1, 2, -2, 3, -3, 4, -4):
+    for t in MOVE_SHIFTS:
         val = abs(horner(g, mpc(t)))
         if val > best_val:
             best_t, best_val = t, val
     if best_t is None or negligible(best_val, prec, g):
         raise PrecisionError("could not renormalize a degenerate image model")
+    return moved_model(g, mpc(best_t))
+
+
+def moved_model(g: Sequence[Scalar], t: Scalar) -> Tuple[Scalar, ...]:
+    """x^6 g(t + 1/x): the Taylor shift g(x + t), by repeated synthetic
+    addition, with its coefficients reversed; its leading coefficient is g(t)."""
     shifted = list(g)
-    # Taylor shift: coefficients of g(x + t) via repeated synthetic addition
-    t = mpc(best_t)
     n = len(shifted)
     for i in range(n):
         for j in range(n - 2, i - 1, -1):

@@ -7,9 +7,9 @@ from types import SimpleNamespace
 import pytest
 from mpmath import mp, mpc, mpf
 
-from g2modpoly.exactnum import ComplexPoly, to_mpc, tolerance
-from g2modpoly import modpoly
-from g2modpoly.g2curve import Genus2Curve, SingularCurveError, absolute_igusa
+from g2modpoly.exactnum import ComplexPoly, mpf_to_fraction, poly_mul, to_mpc, tolerance
+from g2modpoly import modp, modpoly
+from g2modpoly.g2curve import Genus2Curve, SingularCurveError, absolute_igusa, transform_model
 from g2modpoly.modpoly import (
     DEFAULT_DENOM_BOUND,
     DEFAULT_PREC,
@@ -17,7 +17,6 @@ from g2modpoly.modpoly import (
     L2_TERM_COUNT,
     CompanionReport,
     SplitInputError,
-    _certify,
     _reconstruct_coeffs,
     companion_identity_report,
     degree_profile,
@@ -217,15 +216,113 @@ def test_reconstruction_refuses_a_convergent_outside_the_decoding_radius():
     assert _reconstruct_coeffs(ComplexPoly((near, 1), 1000), 1000, bound) is None
 
 
-def test_certification_requires_the_decoding_radius():
-    # a 2000-bit rebuild 2^-550 away from 1/3 agrees to tolerance(1000) =
-    # 2^-500, but lies outside the radius 2^-601 of B = 2^300: refused
-    bound = 1 << 300
-    with mp.workprec(2064):
-        third = mpc(1) / 3
-        near = third + mpc(2) ** -550
-    assert _certify([F(1, 3), F(1)], ComplexPoly((third, 1), 2000), 1000, bound)
-    assert not _certify([F(1, 3), F(1)], ComplexPoly((near, 1), 2000), 1000, bound)
+def _digest(rationals):
+    payload = "|".join("%d/%d" % (f.numerator, f.denominator) for f in rationals)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def generic_rationals():
+    ev = evaluated_P2(curve(*GENERIC), 2400, reconstruct=True,
+                      denom_bound=1 << 800, prec_cap=2400)
+    return ev.rational_p2
+
+
+def test_mod_p_check_refuses_a_near_miss_with_a_legal_denominator(generic_rationals):
+    # each coefficient replaced by the nearest fraction with denominator
+    # 2^600 (legal under 2^800, within 2^-600 of the true value): a float
+    # comparison to 2^-550 cannot tell them apart, P2 mod p does
+    good = list(generic_rationals)
+    assert modp.check_mod_p(curve(*GENERIC), good) is not None
+    for k, r in enumerate(good):
+        near = F(round(r * 2**600), 2**600)
+        if near == r:
+            continue
+        assert abs(near - r) <= F(1, 2**550) and near.denominator <= 1 << 800
+        bad = good[:k] + [near] + good[k + 1:]
+        assert modp.check_mod_p(curve(*GENERIC), bad) is None, k
+
+
+def test_mod_p_check_refuses_criterion_6_limit_denominator_candidates():
+    # criterion 6's curve 0 (the first seed-601 draw): the fractions with
+    # denominator <= 2^256 closest to its 3000-bit coefficients are wrong
+    c0 = curve(-2, 2, 1, 1, 2, -3, 1)
+    high = evaluated_P2(c0, 3000).p2.coeffs
+    candidates = [mpf_to_fraction(c.real).limit_denominator(1 << 256) for c in high]
+    assert modp.check_mod_p(c0, candidates) is None
+
+
+def _roots_poly(*roots):
+    cs = [F(1)]
+    for r in roots:
+        cs = poly_mul(cs, [F(-r), F(1)])
+    return cs
+
+
+@pytest.mark.parametrize("coeffs, digest, moves", [
+    (GENERIC, GENERIC_P2_SHA256, False),
+    # the 300-bit defect curve
+    ((1, 0, -3, 2, -1, -2, 1),
+     "a78c3b709da4d3e3a842438fb4508258a006b01671e0d389c6d5aeef5a2f1b3e", False),
+    # roots 0, 1, 2, 3, 5, 6: five images have a bracket of degree < 2, so
+    # the image model is moved, in floats and mod p
+    (_roots_poly(0, 1, 2, 3, 5, 6),
+     "374360d8cd812bd07506ce4aeaf469d50b1cd96b244442c55a3d57f061659e07", True),
+])
+def test_mod_p_check_certifies_the_same_rationals(monkeypatch, coeffs, digest, moves):
+    # the digests were recorded from ladders whose rationals an independent
+    # 4800-bit rebuild also certified
+    moved = []
+
+    def spy(g, t):
+        moved.append(t)
+        return raw(g, t)
+
+    raw = modp.moved_model
+    monkeypatch.setattr(modp, "moved_model", spy)
+    ev = evaluated_P2(curve(*coeffs), 300, reconstruct=True,
+                      denom_bound=1 << 800, prec_cap=4200)
+    assert ev.prec == 2400
+    assert _digest(ev.rational_p2) == digest
+    assert bool(moved) == moves
+
+
+def test_mod_p_check_skips_a_prime_dividing_a_curve_denominator():
+    # x -> x + 1/(2^61 - 1) gives coefficients with denominators
+    # (2^61 - 1)^k and the same images, so the same P2
+    top = modp.TOP_PRIME
+    assert next(modp._candidate_primes()) == top
+    moved = transform_model(curve(*GENERIC), [[1, F(1, top)], [0, 1]])
+    assert max(c.denominator for c in moved.coeffs) == top**6
+    ev = evaluated_P2(moved, 300, reconstruct=True, denom_bound=1 << 800, prec_cap=4200)
+    assert _digest(ev.rational_p2) == GENERIC_P2_SHA256
+    assert modp.check_mod_p(moved, ev.rational_p2) < top
+
+
+@pytest.mark.parametrize("no_prime", ["cap", "predicate"])
+def test_no_usable_prime_refuses_without_raising(monkeypatch, no_prime):
+    if no_prime == "cap":
+        monkeypatch.setattr(modp, "PRIME_CANDIDATES", 0)
+    else:
+        monkeypatch.setattr(modp, "p2_mod_p", lambda f, p: None)
+    ev = evaluated_P2(curve(*GENERIC), 2400, reconstruct=True,
+                      denom_bound=1 << 800, prec_cap=2400)
+    assert ev.rational_p2 is None
+    assert ev.prec == 2400
+
+
+def test_mod_p_check_refuses_a_p2_outside_f_p(monkeypatch, generic_rationals):
+    # the real parts agree, one imaginary part does not vanish
+    raw = modp.p2_mod_p
+
+    def off_f_p(f, p):
+        p2 = raw(f, p)
+        if p2 is not None:
+            p2[3] = p2[3] + modp.Fp2(0, 1, p)
+        return p2
+
+    monkeypatch.setattr(modp, "p2_mod_p", off_f_p)
+    assert modp.check_mod_p(curve(*GENERIC), generic_rationals) is None
 
 
 def _spy_builds(monkeypatch, build):
@@ -283,7 +380,7 @@ def test_a_curve_singular_at_300_bits_reconstructs_when_rung_300_is_skipped(monk
     defect = curve(1, 0, -3, 2, -1, -2, 1)
     built = _spy_builds(monkeypatch, modpoly._build)
     ev = evaluated_P2(defect, 300, reconstruct=True, denom_bound=1 << 800, prec_cap=4200)
-    assert built == [2400, 4800]
+    assert built == [2400]
     assert ev.prec == 2400
     assert max(f.denominator.bit_length() for f in ev.rational_p2) == 189
     # under 2^64 rung 300 is built, and it still raises
