@@ -499,35 +499,23 @@ def rational_reconstruct(approx: Union[mpf, Fraction, int, float], denom_bound: 
     """
     if denom_bound < 1:
         raise ValueError("denominator bound must be at least 1")
-    if isinstance(approx, mpf):
-        x = mpf_to_fraction(approx)
-    elif isinstance(approx, float):
-        x = Fraction(approx)
-    else:
-        x = Fraction(approx)
+    x = mpf_to_fraction(approx) if isinstance(approx, mpf) else Fraction(approx)
     tol = Fraction(1, 2**(prec // 2))
 
-    # continued-fraction convergents of x
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = int(_floor_fraction(x)), 1
-    rem = x - int(_floor_fraction(x))
-    best = Fraction(p_cur, q_cur)
-    while rem != 0:
-        rem = 1 / rem
-        a = int(_floor_fraction(rem))
-        rem -= a
+    # continued-fraction convergents of x, by Euclid on its numerator and
+    # denominator: each partial quotient a is floor(num / den)
+    a, rest = divmod(x.numerator, x.denominator)
+    p_prev, q_prev, p_cur, q_cur = 1, 0, a, 1
+    num, den = x.denominator, rest
+    while den:
+        a, rest = divmod(num, den)
+        num, den = den, rest
         p_nxt = a * p_cur + p_prev
         q_nxt = a * q_cur + q_prev
         if q_nxt > denom_bound:
             break
         p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, p_nxt, q_nxt
-        best = Fraction(p_cur, q_cur)
-        if best == x:
-            break
+    best = Fraction(p_cur, q_cur)
     if abs(x - best) <= tol:
         return best
     return None
-
-
-def _floor_fraction(x: Fraction) -> int:
-    return x.numerator // x.denominator

@@ -19,7 +19,9 @@ Invariants come in two flavours:
   are exact over the rationals.
 * ``absolute_igusa``: the weight-zero triple
   j1 = I2^5/I10, j2 = I2^3 I4/I10, j3 = I2^2 I6/I10, with the powers of
-  I2 taken from the same kind of table.
+  I2 taken from the same kind of table. ``absolute_j1`` is j1 alone, from
+  I2 and I10 only (power tables up to c^2), bit for bit the same value;
+  the evaluated P2 needs nothing else of the 15 Richelot images.
   These are invariant under Moebius changes of the x coordinate and under
   quadratic twists, so they classify the curve up to isomorphism over an
   algebraically closed field (away from I2 = 0).
@@ -144,6 +146,9 @@ def _power_table(c: Scalar, top: int) -> List[Scalar]:
 #: the largest exponent of any coefficient in the I2, I4 and I6 tables
 _TOP_POWER = max(e for terms in (I2_TERMS, I4_TERMS, I6_TERMS) for mono in terms for e in mono)
 
+#: the largest exponent of any coefficient in the I2 table
+_I2_TOP = max(e for mono in I2_TERMS for e in mono)
+
 
 def _eval_terms(terms, tables):
     """Evaluate a frozen exponent-vector table from the power tables of c0..c5."""
@@ -201,38 +206,57 @@ def _resultant_f_fprime(coeffs: Sequence[Scalar], exact: bool, prec: int) -> Sca
 
 def igusa_clebsch(curve: Genus2Curve) -> Tuple[Scalar, Scalar, Scalar, Scalar]:
     """(I2, I4, I6, I10); exact Fractions for exact curves, mpc otherwise."""
+    return _clebsch(curve, (I2_TERMS, I4_TERMS, I6_TERMS), _TOP_POWER)
+
+
+def _clebsch(curve: Genus2Curve, terms: Sequence[dict], top: int) -> Tuple[Scalar, ...]:
+    """The frozen tables ``terms`` evaluated over power tables up to c^``top``, then I10.
+
+    A power c^e is the same value whatever ``top`` is, so I2 does not
+    depend on whether I4 and I6 are evaluated beside it.
+    """
     cs = curve.coeffs[:6]
-    exact = curve.is_exact
     prec = curve.working_prec()
-    if exact:
-        tables = [_power_table(Fraction(c), _TOP_POWER) for c in cs]
-        i2 = Fraction(_eval_terms(I2_TERMS, tables))
-        i4 = Fraction(_eval_terms(I4_TERMS, tables))
-        i6 = Fraction(_eval_terms(I6_TERMS, tables))
-        i10 = -_resultant_f_fprime(curve.coeffs, True, prec)
-        return (i2, i4, i6, Fraction(i10))
+    if curve.is_exact:
+        tables = [_power_table(Fraction(c), top) for c in cs]
+        values = [Fraction(_eval_terms(t, tables)) for t in terms]
+        return (*values, Fraction(-_resultant_f_fprime(curve.coeffs, True, prec)))
     with mp.workprec(prec + WORK_GUARD):
-        tables = [_power_table(to_mpc(c, prec + WORK_GUARD), _TOP_POWER) for c in cs]
-        i2 = _eval_terms(I2_TERMS, tables)
-        i4 = _eval_terms(I4_TERMS, tables)
-        i6 = _eval_terms(I6_TERMS, tables)
+        tables = [_power_table(to_mpc(c, prec + WORK_GUARD), top) for c in cs]
+        values = [_eval_terms(t, tables) for t in terms]
         i10 = -_resultant_f_fprime(curve.coeffs, False, prec)
-        return (mpc(i2), mpc(i4), mpc(i6), mpc(i10))
+        return (*(mpc(v) for v in values), mpc(i10))
+
+
+def _require_nonsingular(curve: Genus2Curve, i10: Scalar) -> None:
+    """Raise SingularCurveError when I10 is zero (exact) or negligible at the
+    curve's precision; evaluated at the caller's ambient precision."""
+    if curve.is_exact:
+        if i10 == 0:
+            raise SingularCurveError("discriminant is zero")
+    elif negligible(i10, curve.working_prec(), curve.coeffs, 10):
+        raise SingularCurveError("discriminant vanishes at working precision")
 
 
 def absolute_igusa(curve: Genus2Curve) -> IgusaTriple:
     """The weight-zero triple (I2^5, I2^3 I4, I2^2 I6) / I10."""
     i2, i4, i6, i10 = igusa_clebsch(curve)
-    prec = curve.working_prec()
-    with mp.workprec(prec + WORK_GUARD):
-        if curve.is_exact:
-            if i10 == 0:
-                raise SingularCurveError("discriminant is zero")
-        else:
-            if negligible(i10, prec, curve.coeffs, 10):
-                raise SingularCurveError("discriminant vanishes at working precision")
+    with mp.workprec(curve.working_prec() + WORK_GUARD):
+        _require_nonsingular(curve, i10)
         p = _power_table(i2, 5)
         return IgusaTriple(p[5] / i10, p[3] * i4 / i10, p[2] * i6 / i10)
+
+
+def absolute_j1(curve: Genus2Curve) -> Scalar:
+    """j1 = I2^5 / I10 alone, equal bit for bit to ``absolute_igusa(curve).j1``.
+
+    Only I2 (over power tables up to c^2) and I10 are evaluated, and the
+    curve is refused as singular exactly when ``absolute_igusa`` refuses it.
+    """
+    i2, i10 = _clebsch(curve, (I2_TERMS,), _I2_TOP)
+    with mp.workprec(curve.working_prec() + WORK_GUARD):
+        _require_nonsingular(curve, i10)
+        return _power_table(i2, 5)[5] / i10
 
 
 def transform_model(curve: Genus2Curve, g: Sequence[Sequence[Union[Fraction, int]]]) -> Genus2Curve:

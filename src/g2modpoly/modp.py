@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence
 
 from .exactnum import horner, poly_mul
-from .g2curve import Genus2Curve, _eval_terms, _power_table, _sylvester_f_fprime
+from .g2curve import Genus2Curve, _I2_TOP, _eval_terms, _power_table, _sylvester_f_fprime
 from .igusa_data import I2_TERMS
 from .richelot import (
     MOVE_SHIFTS,
@@ -43,9 +43,6 @@ TOP_PRIME = (1 << 61) - 1
 _SPLIT_SHIFTS = 64
 
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# the largest exponent of any coefficient in the I2 table
-_I2_TOP = max(e for mono in I2_TERMS for e in mono)
 
 
 class Fp2:

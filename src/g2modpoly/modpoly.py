@@ -5,13 +5,17 @@ For a genus-2 curve C with absolute invariants (j1, j2, j3), the 15
 univariate polynomials in X tie these together:
 
 * ``evaluated_P2``: the monic degree-15 polynomial with the x_i as roots.
-  For a curve defined over Q its coefficients are rational; they can be
-  recovered exactly by continued-fraction reconstruction with precision
-  escalation, and are checked against P2 modulo a prime (``modp``).
+  It is built from the images' j1 alone (``g2curve.absolute_j1``) and
+  carries no companions. For a curve defined over Q its coefficients are
+  rational; they can be recovered exactly by continued-fraction
+  reconstruction with precision escalation, and are checked against P2
+  modulo a prime (``modp``).
 * ``evaluated_Ftilde`` (k = 2 or 3): the interpolation companion
   sum_i prod_{j != i} (X - x_j) * j_k(image_i), which satisfies
   Ftilde_k(x_i) = P'(x_i) j_k(image_i), so j_2 and j_3 of every image are
-  read off from P and the two companions.
+  read off from P and the two companions. Only this function and
+  ``companion_identity_report`` take the images' full invariant triples
+  and expand companions, from the same P2.
 
 ``l2_evaluate`` evaluates, exactly at a rational triple, the split-locus
 polynomial deciding whether an invariant triple belongs to a product of
@@ -25,7 +29,7 @@ measured experimentally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -46,7 +50,7 @@ from .exactnum import (
     relative_deviation,
     tolerance,
 )
-from .g2curve import Genus2Curve, IgusaTriple, absolute_igusa
+from .g2curve import Genus2Curve, IgusaTriple, absolute_igusa, absolute_j1
 from .modp import check_mod_p, field_det
 from .richelot import all_isogenous_invariants
 
@@ -132,61 +136,56 @@ def l2_evaluate(j: Union[IgusaTriple, Sequence]) -> Fraction:
 
 @dataclass(frozen=True)
 class EvaluatedModPoly:
-    """P and its two companions at one curve, with optional exact coefficients.
+    """P2 at one curve, with optional exact coefficients.
 
-    ``p2`` is monic of degree 15 with the image j1-invariants as roots;
-    ``ftilde2``/``ftilde3`` have degree at most 14. ``rational_p2`` holds
-    the 16 reconstructed rational coefficients of p2 (constant first) when
-    reconstruction was requested and succeeded, else None. ``prec`` is the
-    binary precision the stored complex data was computed at.
+    ``p2`` is monic of degree 15 with the image j1-invariants as roots.
+    ``rational_p2`` holds the 16 reconstructed rational coefficients of p2
+    (constant first) when reconstruction was requested and succeeded, else
+    None. ``prec`` is the binary precision the stored complex data was
+    computed at. The companions are not built here; ``evaluated_Ftilde``
+    and ``companion_identity_report`` build them.
     """
 
     prec: int
     source: IgusaTriple
     p2: ComplexPoly
-    ftilde2: ComplexPoly
-    ftilde3: ComplexPoly
     rational_p2: Optional[Tuple[Fraction, ...]] = None
 
 
-def _image_data(curve: Genus2Curve, prec: int):
-    """j-invariants of the 15 images; raises on split or colliding images."""
-    records = all_isogenous_invariants(curve, prec)
+def _p2(curve: Genus2Curve, prec: int, triples: bool = False):
+    """P2 = prod_i (X - x_i), the images' j1-invariants x_i, and the images' values.
+
+    An image's value is its IgusaTriple when ``triples``, else its j1 alone
+    (so the values are the x_i). Raises on split or colliding images.
+    """
+    records = all_isogenous_invariants(curve, prec, absolute_igusa if triples else absolute_j1)
     split = [r.index for r in records if r.is_split]
     if split:
         raise SplitInputError(
             f"factorizations {split} give split quotients; the evaluated polynomial is undefined")
-    xs = [r.invariants.j1 for r in records]
-    j2s = [r.invariants.j2 for r in records]
-    j3s = [r.invariants.j3 for r in records]
+    values = [r.invariants for r in records]
+    xs = [v.j1 for v in values] if triples else values
     with mp.workprec(prec + WORK_GUARD):
         for i in range(15):
             for j in range(i + 1, 15):
                 if negligible(xs[i] - xs[j], prec, (xs[i], xs[j])):
                     raise CollidingImagesError(
                         f"image invariants {i} and {j} collide at this precision")
-    return xs, j2s, j3s
+    return ComplexPoly.from_roots(xs, prec), xs, values
 
 
-def _expand(xs: Sequence[mpc], j2s: Sequence[mpc], j3s: Sequence[mpc],
-            prec: int) -> Tuple[ComplexPoly, ComplexPoly, ComplexPoly]:
-    """P2 = prod_i (X - x_i) and the companions sum_i j_k(i) P2 / (X - x_i)."""
-    p2 = ComplexPoly.from_roots(xs, prec)
-    ft2: Optional[ComplexPoly] = None
-    ft3: Optional[ComplexPoly] = None
-    for x, j2, j3 in zip(xs, j2s, j3s):
-        q = p2.deflate(x)
-        t2 = q.scale(j2)
-        t3 = q.scale(j3)
-        ft2 = t2 if ft2 is None else ft2.add(t2)
-        ft3 = t3 if ft3 is None else ft3.add(t3)
-    return p2, ft2, ft3
+def _companion(p2: ComplexPoly, xs: Sequence[mpc], jks: Sequence[mpc]) -> ComplexPoly:
+    """Ftilde_k = sum_i j_k(image_i) P2 / (X - x_i), from the images' j_k values."""
+    ft: Optional[ComplexPoly] = None
+    for x, jk in zip(xs, jks):
+        term = p2.deflate(x).scale(jk)
+        ft = term if ft is None else ft.add(term)
+    return ft
 
 
 def _build(curve: Genus2Curve, prec: int) -> EvaluatedModPoly:
-    p2, ft2, ft3 = _expand(*_image_data(curve, prec), prec)
-    src = absolute_igusa(curve)
-    return EvaluatedModPoly(prec=prec, source=src, p2=p2, ftilde2=ft2, ftilde3=ft3)
+    p2, _, _ = _p2(curve, prec)
+    return EvaluatedModPoly(prec=prec, source=absolute_igusa(curve), p2=p2)
 
 
 def evaluated_P2(curve: Genus2Curve, prec: int = DEFAULT_PREC, *,
@@ -223,11 +222,7 @@ def evaluated_P2(curve: Genus2Curve, prec: int = DEFAULT_PREC, *,
         result = _build(curve, q)
         coeffs = _reconstruct_coeffs(result.p2, q, denom_bound)
         if coeffs is not None and check_mod_p(curve, coeffs) is not None:
-            return EvaluatedModPoly(
-                prec=q, source=result.source, p2=result.p2,
-                ftilde2=result.ftilde2, ftilde3=result.ftilde3,
-                rational_p2=tuple(coeffs),
-            )
+            return replace(result, rational_p2=tuple(coeffs))
     return result
 
 
@@ -279,11 +274,15 @@ def _reconstruct_coeffs(p2: ComplexPoly, prec: int,
 
 
 def evaluated_Ftilde(curve: Genus2Curve, k: int, prec: int = DEFAULT_PREC) -> ComplexPoly:
-    """The degree-14 companion carrying j_k of the images (k in {2, 3})."""
+    """The degree-14 companion carrying j_k of the images (k in {2, 3}).
+
+    Builds the images' full invariant triples and P2, then only the
+    requested companion.
+    """
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
-    built = _build(curve, prec)
-    return built.ftilde2 if k == 2 else built.ftilde3
+    p2, xs, triples = _p2(curve, prec, triples=True)
+    return _companion(p2, xs, [t.as_tuple()[k - 1] for t in triples])
 
 
 @dataclass(frozen=True)
@@ -321,9 +320,9 @@ def companion_identity_report(curve: Genus2Curve, prec: int = DEFAULT_PREC,
     cap = max_pipeline_prec if max_pipeline_prec is not None else 64 * prec
     w = prec + WORK_GUARD
     while True:
-        xs, j2s, j3s = _image_data(curve, w)
-        p2, ft2, ft3 = _expand(xs, j2s, j3s, w)
-        ft = {2: ft2, 3: ft3}
+        p2, xs, triples = _p2(curve, w, triples=True)
+        jks = {k: [t.as_tuple()[k - 1] for t in triples] for k in (2, 3)}
+        ft = {k: _companion(p2, xs, jks[k]) for k in (2, 3)}
         with mp.workprec(w + WORK_GUARD):
             dp = p2.derivative()
             worst = {2: mpf(0), 3: mpf(0)}
@@ -334,9 +333,9 @@ def companion_identity_report(curve: Genus2Curve, prec: int = DEFAULT_PREC,
                 if dpx == 0:
                     raise CollidingImagesError("derivative vanishes at an image invariant")
                 cond_bits = max(cond_bits, int(mp.log(spread / abs(dpx), 2)) + 1)
-                for k, jks in ((2, j2s), (3, j3s)):
+                for k in (2, 3):
                     fx = ft[k](x)
-                    worst[k] = max(worst[k], relative_deviation(jks[i], fx / dpx))
+                    worst[k] = max(worst[k], relative_deviation(jks[k][i], fx / dpx))
                     spread_f = _eval_magnitude(ft[k], x)
                     if abs(fx) > 0:
                         cond_bits = max(cond_bits, int(mp.log(spread_f / abs(fx), 2)) + 1)

@@ -23,7 +23,7 @@ how ``dual_triple`` is meant to be used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from mpmath import mp, mpc, mpf
 
@@ -97,12 +97,17 @@ class RichelotStep:
 
 @dataclass(frozen=True)
 class IsogenyRecord:
-    """Invariant summary of one step out of a curve."""
+    """Invariant summary of one step out of a curve.
+
+    ``invariants`` is what ``all_isogenous_invariants``' invariant function
+    returned for the image (an IgusaTriple by default, j1 alone for P2),
+    or None for a split step.
+    """
 
     index: int
     triple: QuadraticTriple
     delta: mpc
-    invariants: Optional[IgusaTriple]
+    invariants: Optional[Union[IgusaTriple, Scalar]]
 
     @property
     def is_split(self) -> bool:
@@ -375,13 +380,21 @@ def dual_triple(step: RichelotStep) -> QuadraticTriple:
         return QuadraticTriple(tuple(quads), p)
 
 
-def all_isogenous_invariants(curve: Genus2Curve, prec: int) -> Tuple[IsogenyRecord, ...]:
-    """Invariant triples of all 15 (2,2)-isogenous surfaces (or split markers)."""
+def all_isogenous_invariants(curve: Genus2Curve, prec: int,
+                             invariant: Optional[Callable[[Genus2Curve], object]] = None,
+                             ) -> Tuple[IsogenyRecord, ...]:
+    """Invariants of all 15 (2,2)-isogenous surfaces (or split markers).
+
+    ``invariant`` maps an image curve to what its record carries: by
+    default ``absolute_igusa`` (the full triple); ``modpoly`` passes
+    ``absolute_j1`` to build P2. Each image is built and its invariant
+    taken before the next image is built, so the first error raised is
+    that of the first bad image, whichever function is passed.
+    """
+    invariant = invariant or absolute_igusa
     records: List[IsogenyRecord] = []
     for k, triple in enumerate(enumerate_factorizations(curve, prec)):
         step = richelot_image(triple, prec)
-        if step.is_split:
-            records.append(IsogenyRecord(k, triple, step.delta, None))
-        else:
-            records.append(IsogenyRecord(k, triple, step.delta, absolute_igusa(step.image)))
+        value = None if step.is_split else invariant(step.image)
+        records.append(IsogenyRecord(k, triple, step.delta, value))
     return tuple(records)

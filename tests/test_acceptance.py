@@ -9,7 +9,7 @@ Criterion 6 checks that evaluated P2 coefficients of rational curves are
 exact rationals and that reconstruction refuses, soundly, when the bound
 cannot hold them.  Its ten seeded random integer curves (seed 601) have
 true coefficient denominators of 492-822 bits, measured with
-``scripts/p2_height_survey.py --curves 10 --seed 601`` (about 40 s a
+``scripts/p2_height_survey.py --curves 10 --seed 601`` (about 2 s a
 curve), so under a 2^256 bound with escalation capped at 2000 bits the
 only correct outcome is a refusal.  The test asserts that refusal, proves
 from an independent 3000-bit build and ``Fraction.limit_denominator`` that

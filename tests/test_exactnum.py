@@ -295,6 +295,62 @@ def test_reconstruct_respects_denominator_bound():
     assert out is None or out.denominator <= 100
 
 
+def _fraction_walk(x: Fraction, denom_bound: int, prec: int):
+    """The convergent walk with one Fraction per step: the oracle for
+    ``rational_reconstruct``'s integer Euclid walk."""
+    tol = Fraction(1, 2**(prec // 2))
+    p_prev, q_prev = 1, 0
+    p_cur, q_cur = x.numerator // x.denominator, 1
+    rem = x - p_cur
+    best = Fraction(p_cur, q_cur)
+    while rem != 0:
+        rem = 1 / rem
+        a = rem.numerator // rem.denominator
+        rem -= a
+        p_nxt = a * p_cur + p_prev
+        q_nxt = a * q_cur + q_prev
+        if q_nxt > denom_bound:
+            break
+        p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, p_nxt, q_nxt
+        best = Fraction(p_cur, q_cur)
+        if best == x:
+            break
+    return best if abs(x - best) <= tol else None
+
+
+@given(st.integers(-(10**60), 10**60), st.integers(1, 10**40),
+       st.integers(1, 10**25), st.integers(2, 400))
+def test_reconstruct_walk_matches_the_fraction_walk(num, den, bound, prec):
+    x = Fraction(num, den)
+    assert rational_reconstruct(x, bound, prec) == _fraction_walk(x, bound, prec)
+
+
+@given(st.integers(-(10**30), 10**30), st.integers(1, 10**20), st.integers(2, 400))
+def test_reconstruct_walk_at_and_one_past_the_bound(num, den, prec):
+    # an exact hit is returned when its denominator is the bound; one past
+    # the bound it never is, and both walks give the same answer
+    x = Fraction(num, den)
+    q = x.denominator
+    assert rational_reconstruct(x, q, prec) == x == _fraction_walk(x, q, prec)
+    if q > 1:
+        out = rational_reconstruct(x, q - 1, prec)
+        assert out == _fraction_walk(x, q - 1, prec)
+        assert out != x
+
+
+@given(st.integers(-(10**30), 10**30), st.integers(1, 10**6))
+def test_reconstruct_walk_returns_integers_exactly(n, bound):
+    x = Fraction(n)
+    assert rational_reconstruct(x, bound, 53) == x == _fraction_walk(x, bound, 53)
+
+
+@given(st.integers(-(2**200), 2**200), st.integers(-300, 0), st.integers(1, 2**100))
+def test_reconstruct_walk_matches_the_fraction_walk_on_mpf(man, exp, bound):
+    with mp.workprec(256):
+        x = mp.ldexp(mpf(man), exp)
+    assert rational_reconstruct(x, bound, 256) == _fraction_walk(mpf_to_fraction(x), bound, 256)
+
+
 # ---------------------------------------------------------------------------
 # dense univariate polynomials
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ by the language and are exempt.
 """
 
 import ast
+import importlib.util
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -74,3 +76,15 @@ def test_every_definition_is_named_outside_the_tests():
         if name not in ALLOWED and used[name] <= count
     )
     assert not unused, f"defined in src/g2modpoly but named only by tests: {unused}"
+
+
+def test_every_traced_name_is_bound_where_the_benchmark_patches_it(monkeypatch):
+    # perfbench wraps each (owner, attr) by name for a traced run; a refactor
+    # that drops one of these bindings would fail that run with KeyError
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)   # dataclasses look the module up
+    spec.loader.exec_module(spans)
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in spans.boundaries()
+               if attr not in owner.__dict__]
+    assert not missing, f"names perfbench traces but the library no longer binds: {missing}"

@@ -8,7 +8,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from g2modpoly.exactnum import ComplexPoly, mpf_to_fraction, poly_mul, to_mpc, tolerance
-from g2modpoly import modp, modpoly
+from g2modpoly import g2curve, modp, modpoly
 from g2modpoly.g2curve import Genus2Curve, SingularCurveError, absolute_igusa, transform_model
 from g2modpoly.modpoly import (
     DEFAULT_DENOM_BOUND,
@@ -25,6 +25,7 @@ from g2modpoly.modpoly import (
     l2_evaluate,
     l2_poly,
 )
+from g2modpoly.igusa_data import I2_TERMS
 from g2modpoly.richelot import all_isogenous_invariants
 
 F = Fraction
@@ -35,6 +36,8 @@ def curve(*asc):
 
 
 GENERIC = (-2, 3, 1, -1, 0, 2, 1)
+# one image's discriminant is under the 300-bit threshold
+DEFECT_AT_300 = (1, 0, -3, 2, -1, -2, 1)
 SPLIT_WITNESS = (-36, 0, 49, 0, -14, 0, 1)
 
 # frozen: sha256 over "num/den|..." of the 16 reconstructed coefficients of
@@ -163,6 +166,41 @@ def test_evaluated_p2_vanishes_at_image_invariants():
             val = ev.p2(x)
             bound = tol * scale * max(mpf(1), abs(x)) ** 15
             assert abs(val) <= bound
+
+
+def _bits(poly):
+    return [(c.real._mpf_, c.imag._mpf_) for c in poly.coeffs]
+
+
+@pytest.mark.parametrize("coeffs, prec", [
+    (GENERIC, 300), (GENERIC, 2400), (DEFECT_AT_300, 300), (DEFECT_AT_300, 2400),
+])
+def test_p2_from_image_j1_alone_equals_p2_from_the_full_triples(coeffs, prec):
+    c = curve(*coeffs)
+    if (coeffs, prec) == (DEFECT_AT_300, 300):
+        # one image is singular at 300 bits: both paths refuse it alike
+        with pytest.raises(SingularCurveError):
+            all_isogenous_invariants(c, prec)
+        with pytest.raises(SingularCurveError):
+            evaluated_P2(c, prec)
+        return
+    full = [r.invariants.j1 for r in all_isogenous_invariants(c, prec)]
+    assert _bits(evaluated_P2(c, prec).p2) == _bits(ComplexPoly.from_roots(full, prec))
+
+
+def test_p2_build_never_evaluates_i4_or_i6_of_an_image(monkeypatch):
+    evaluated = []
+
+    def spy(terms, tables):
+        evaluated.append((terms, isinstance(tables[0][1], mpc)))
+        return raw(terms, tables)
+
+    raw = g2curve._eval_terms
+    monkeypatch.setattr(g2curve, "_eval_terms", spy)
+    evaluated_P2(curve(*GENERIC), 300)
+    on_images = [terms for terms, complex_model in evaluated if complex_model]
+    assert len(on_images) == 15
+    assert all(terms is I2_TERMS for terms in on_images)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +478,7 @@ def test_companion_identity_direct_at_high_build_precision():
     prec = 1200
     c = curve(*GENERIC)
     ev = evaluated_P2(c, prec)
+    ft2, ft3 = (evaluated_Ftilde(c, k, prec) for k in (2, 3))
     records = all_isogenous_invariants(c, prec)
     dp = ev.p2.derivative()
     tol = tolerance(300)
@@ -448,7 +487,7 @@ def test_companion_identity_direct_at_high_build_precision():
             x = r.invariants.j1
             dpx = dp(x)
             assert abs(dpx) > 0
-            for ft, want in ((ev.ftilde2, r.invariants.j2), (ev.ftilde3, r.invariants.j3)):
+            for ft, want in ((ft2, r.invariants.j2), (ft3, r.invariants.j3)):
                 got = ft(x) / dpx
                 assert abs(got - want) <= tol * max(mpf(1), abs(want))
 
