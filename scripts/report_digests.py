@@ -11,11 +11,14 @@ by ``perfbench/workloads.py``. For each of ``modpoly eval2``, ``richelot
 all`` and ``curve invariants`` at the default precision it prints one
 sha256 over every curve's exit status and the report's ``results`` and
 ``checks`` (``inputs`` carries the temporary file path, so it is left out,
-as in ``tests/test_cli.py``). Then it prints the sha256 of ``(prec,
-rational_p2)`` from the ``recon-ladder-800`` operation
-(``evaluated_P2(..., reconstruct=True)`` under 2^800 up to 4200 bits) on
-the first ``--recon`` curves. The library and the benchmark modules are
-imported from this checkout.
+as in ``tests/test_cli.py``). It prints the sha256 of the raw mpmath
+tuples (``_mpf_``) of every coefficient of ``evaluated_P2(c, 300).p2``
+over the same curves, or of the exception's name for a curve that is
+refused, so the float P2 is compared bit for bit and not only to the
+printed digits. Then it prints the sha256 of ``(prec, rational_p2)`` from
+the ``recon-ladder-800`` operation (``evaluated_P2(..., reconstruct=True)``
+under 2^800 up to 4200 bits) on the first ``--recon`` curves. The library
+and the benchmark modules are imported from this checkout.
 """
 
 import argparse
@@ -30,7 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from g2modpoly import cli  # noqa: E402
+from g2modpoly import cli, modpoly  # noqa: E402
 
 import workloads  # noqa: E402
 
@@ -48,6 +51,20 @@ def report_digest(command, paths):
             doc = json.loads(out.getvalue())
             body = json.dumps({"results": doc["results"], "checks": doc["checks"]})
         digest.update(f"{code}\n{body}\n".encode())
+    return digest.hexdigest()
+
+
+def p2_bits_digest(curves, prec):
+    digest = hashlib.sha256()
+    for curve in curves:
+        try:
+            coeffs = modpoly.evaluated_P2(curve, prec).p2.coeffs
+        except (ValueError, ArithmeticError) as exc:
+            text = type(exc).__name__
+        else:
+            text = repr([(s, int(m), e, b) for c in coeffs
+                         for s, m, e, b in (c.real._mpf_, c.imag._mpf_)])
+        digest.update(f"{text}\n".encode())
     return digest.hexdigest()
 
 
@@ -77,6 +94,7 @@ def main(argv=None):
         paths = workloads.write_curves(curves[:args.curves], tmp)
         for command in COMMANDS:
             print(f"{' '.join(command)}: {report_digest(command, paths)}")
+    print(f"evaluated_P2 300 bits: {p2_bits_digest(curves[:args.curves], 300)}")
     print(f"reconstruct 2^800 cap 4200: {ladder_digest(curves[:args.recon])}")
     return 0
 

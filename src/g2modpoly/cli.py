@@ -41,6 +41,7 @@ from .exactnum import (
     complex_to_pair,
     format_rational,
     horner,
+    negligible,
     parse_rational,
     relative_deviation,
     to_mpc,
@@ -349,7 +350,7 @@ def _cmd_modpoly_eval2(args) -> HandlerResult:
         prec_cap=args.prec_cap,
     )
     with mp.workprec(built.prec + WORK_GUARD):
-        monic = abs(built.p2.coeffs[-1] - 1) <= tolerance(built.prec)
+        monic = negligible(built.p2.coeffs[-1] - 1, built.prec)
     results = {
         "prec": built.prec,
         "source": _triple_doc(built.source, built.prec),

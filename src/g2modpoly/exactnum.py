@@ -32,6 +32,7 @@ import hashlib
 import math
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import fzero, mpc_abs, mpf_add, mpf_cmp, mpf_mul, mpf_shift, mpf_sub, round_nearest
 
 Scalar = Union[Fraction, int, mpc, mpf]
 
@@ -87,14 +88,104 @@ def magnitude(values: Iterable[Scalar]) -> mpf:
     return max([mpf(1)] + [abs(v) for v in values])
 
 
+#: binades by which the exponent brackets of ``negligible``'s two sides
+#: must clear each other before the verdict is taken from them alone
+_EXPONENT_MARGIN = 2
+
+
+def _binade(v: Scalar) -> Optional[int]:
+    """The largest exponent plus bit count over the parts of an mpf or mpc.
+
+    For a finite nonzero v this e gives 2**(e-1) <= |v| < 2**(e+1/2): the
+    larger part lies in [2**(e-1), 2**e), and the other adds at most a
+    factor sqrt(2). It is -inf for zero, and None for inf, NaN or a value
+    that is not an mpmath number.
+    """
+    if isinstance(v, mpc):
+        parts = v._mpc_
+    elif isinstance(v, mpf):
+        parts = (v._mpf_,)
+    else:
+        return None
+    top = -math.inf
+    for _, man, exp, bc in parts:
+        if man:
+            top = max(top, exp + bc)
+        elif bc:
+            return None     # inf and NaN have no mantissa and a nonzero bc
+    return top
+
+
 def negligible(x: Scalar, prec: int, scale: Iterable[Scalar] = (), power: int = 1) -> bool:
     """Whether ``|x| <= tolerance(prec) * magnitude(scale)**power``.
 
     Evaluated at the caller's ambient precision, with the threshold grouped
     as written, so a caller that precomputes a compound scale passes it as
     the single entry of ``scale``.
+
+    Most verdicts are read from exponents, with no ``abs`` (a hypot and a
+    square root for an mpc). With e_x, e_t and e_s the ``_binade`` of x,
+    of the tolerance and of the largest scale entry (at least 0), |x| lies
+    in [2**(e_x-1), 2**(e_x+1/2)) and the threshold in
+    [2**(c-1-power), 2**(c+power/2)] for c = e_t + power*e_s, both up to a
+    few roundings at the ambient precision. So x is negligible when
+    e_x + power + 2 <= c, and is not when e_x >= c + power + 2; the 2 is
+    ``_EXPONENT_MARGIN``, which covers the half binade of the brackets'
+    open ends and the roundings. Between the two, and when x is zero, or
+    x or a scale entry is inf, NaN or not an mpf or mpc, the expression
+    above is evaluated as written, so every verdict is the written one.
+    A zero scale entry is below the floor 1 of ``magnitude`` and counts
+    for nothing.
     """
+    scale = tuple(scale)
+    ex = _binade(x)
+    if ex is not None and ex > -math.inf and power >= 0:
+        es = 0
+        for v in scale:
+            e = _binade(v)
+            if e is None:
+                break
+            es = max(es, e)
+        else:
+            c = _binade(tolerance(prec)) + power * es
+            if ex + power + _EXPONENT_MARGIN <= c:
+                return True
+            if ex >= c + power + _EXPONENT_MARGIN:
+                return False
     return abs(x) <= tolerance(prec) * magnitude(scale) ** power
+
+
+def first_largest_modulus(zs: Sequence[tuple], prec: int) -> int:
+    """Index of the first raw mpc value (``_mpc_`` tuple) in ``zs`` with the
+    largest modulus rounded to ``prec`` bits, as
+    ``max(range(len(zs)), key=lambda i: abs(zs[i]))`` picks it at ``prec``.
+
+    Ranked by the exact norms re**2 + im**2; rounded ``abs`` is taken
+    only for the entries whose norms lie within 2**(4-prec) of the
+    largest, the only ones that can tie with it (the proof is in
+    ``g2curve._resultant_f_fprime``, the pivot search this serves).
+    """
+    norms = [mpf_add(mpf_mul(re, re), mpf_mul(im, im)) for re, im in zs]
+    top = 0
+    for i in range(1, len(norms)):
+        if mpf_cmp(norms[i], norms[top]) > 0:
+            top = i
+    largest = norms[top]
+    if largest == fzero:
+        return top
+    # a norm below 2**(b-2), where 2**(b-1) <= largest, is outside the margin
+    low = largest[2] + largest[3] - 1
+    near = mpf_shift(largest, 4 - prec)
+    close = [i for i, n in enumerate(norms)
+             if n[2] + n[3] >= low and mpf_cmp(mpf_sub(largest, n), near) <= 0]
+    if len(close) == 1:
+        return top
+    best, best_abs = None, None
+    for i in close:
+        modulus = mpc_abs(zs[i], prec, round_nearest)
+        if best is None or mpf_cmp(modulus, best_abs) > 0:
+            best, best_abs = i, modulus
+    return best
 
 
 def relative_deviation(a: Scalar, b: Scalar) -> mpf:

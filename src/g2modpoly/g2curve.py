@@ -39,12 +39,14 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from mpmath import mp, mpc
+from mpmath.libmp import fone, fzero, mpc_div, mpc_mul, mpc_neg, mpc_sub, round_nearest
 
 from .exactnum import (
     DEFAULT_PREC,
     Scalar,
     WORK_GUARD,
     det_fraction,
+    first_largest_modulus,
     format_rational,
     negligible,
     parse_rational,
@@ -175,7 +177,30 @@ def _sylvester_f_fprime(coeffs: Sequence, zero) -> List[list]:
 
 
 def _resultant_f_fprime(coeffs: Sequence[Scalar], exact: bool, prec: int) -> Scalar:
-    """Res(f, f') for monic sextic f, coefficients constant first."""
+    """Res(f, f') for monic sextic f, coefficients constant first.
+
+    Numerically, Gaussian elimination of the 11x11 Sylvester matrix at
+    ``work = prec + WORK_GUARD`` bits on raw ``_mpc_`` tuples, with the
+    libmpc operations the mpc operators call, at the same precision and
+    rounding, so that every entry keeps its bits. Only the columns
+    k+1..10 of the rows below the pivot are updated (no later step reads
+    the others), and an update x - fct*y by an exact zero y is skipped:
+    its result is x rounded to ``work`` bits, which is x itself when no
+    coefficient carries more bits, as for every Richelot image;
+    otherwise nothing is skipped.
+
+    Column k's pivot is ``max(range(k, 11), key=lambda i: abs(a[i][k]))``:
+    the first row with the largest rounded modulus. ``first_largest_modulus``
+    finds it from the exact norms N = re**2 + im**2, with no square root.
+    Rounded ``abs`` is sqrt(N) rounded to nearest, N first rounded down to
+    work + 4 bits when both parts are nonzero, so it is nondecreasing in N
+    up to that 2**-(work+3) relative rounding. A row whose norm lies below
+    the largest norm by more than 2**(4-work) of it has a square root more
+    than 3 ulps below, so its ``abs`` is strictly smaller and it is not
+    the pivot. The rows within that margin (in practice only the one with
+    the largest norm) have their rounded ``abs`` compared, the first of
+    the largest winning as in ``max``: the same row, ties included.
+    """
     size = 11
     work = prec + WORK_GUARD
     with mp.workprec(work):
@@ -185,23 +210,27 @@ def _resultant_f_fprime(coeffs: Sequence[Scalar], exact: bool, prec: int) -> Sca
             a = _sylvester_f_fprime([to_mpc(c, work) for c in coeffs], mpc(0))
     if exact:
         return det_fraction(a)
-    with mp.workprec(work):
-        det = mpc(1)
-        for k in range(size):
-            piv = max(range(k, size), key=lambda i: abs(a[i][k]))
-            if a[piv][k] == 0:
-                return mpc(0)
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                det = -det
-            det *= a[k][k]
-            # only columns > k are read again below the pivot, so only they are updated
-            tail = a[k][k + 1:]
-            for i in range(k + 1, size):
-                if a[i][k] != 0:
-                    fct = a[i][k] / a[k][k]
-                    a[i][k + 1:] = [x - fct * y for x, y in zip(a[i][k + 1:], tail)]
-        return det
+    a = [[z._mpc_ for z in row] for row in a]
+    zero = (fzero, fzero)
+    skip_zero = all(part[3] <= work for z in a[0] for part in z)
+    rnd = round_nearest
+    det = (fone, fzero)
+    for k in range(size):
+        piv = k + first_largest_modulus([a[i][k] for i in range(k, size)], work)
+        if a[piv][k] == zero:
+            return mpc(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = mpc_neg(det, work, rnd)
+        pivot = a[k]
+        det = mpc_mul(det, pivot[k], work, rnd)
+        cols = [j for j in range(k + 1, size) if not (skip_zero and pivot[j] == zero)]
+        for row in a[k + 1:]:
+            if row[k] != zero:
+                fct = mpc_div(row[k], pivot[k], work, rnd)
+                for j in cols:
+                    row[j] = mpc_sub(row[j], mpc_mul(fct, pivot[j], work, rnd), work, rnd)
+    return mp.make_mpc(det)
 
 
 def igusa_clebsch(curve: Genus2Curve) -> Tuple[Scalar, Scalar, Scalar, Scalar]:

@@ -34,6 +34,7 @@ from .exactnum import (
     PrecisionError,
     Scalar,
     WORK_GUARD,
+    first_largest_modulus,
     horner,
     magnitude,
     negligible,
@@ -335,16 +336,15 @@ def _restore_degree(g: Sequence[mpc], prec: int) -> Tuple[mpc, ...]:
     """Moebius-move a degenerate (degree < 6) image sextic back to degree 6.
 
     Substitutes x -> t + 1/x and clears denominators, giving coefficient
-    reversal of g(x + t); t is a small integer with g(t) well away from 0.
+    reversal of g(x + t); t is the first of ``MOVE_SHIFTS`` with the
+    largest |g(t)| at the ambient precision (``first_largest_modulus``, as
+    the elimination's pivot), refused when that |g(t)| is negligible.
     """
-    best_t, best_val = None, mpf(0)
-    for t in MOVE_SHIFTS:
-        val = abs(horner(g, mpc(t)))
-        if val > best_val:
-            best_t, best_val = t, val
-    if best_t is None or negligible(best_val, prec, g):
+    values = [horner(g, mpc(t)) for t in MOVE_SHIFTS]
+    best = first_largest_modulus([v._mpc_ for v in values], mp.prec)
+    if negligible(values[best], prec, g):
         raise PrecisionError("could not renormalize a degenerate image model")
-    return moved_model(g, mpc(best_t))
+    return moved_model(g, mpc(MOVE_SHIFTS[best]))
 
 
 def moved_model(g: Sequence[Scalar], t: Scalar) -> Tuple[Scalar, ...]:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
@@ -13,6 +13,7 @@ from g2modpoly.exactnum import (
     bareiss_det,
     complex_to_pair,
     det_fraction,
+    first_largest_modulus,
     format_rational,
     fraction_to_mpf,
     horner,
@@ -113,6 +114,163 @@ def test_negligible_rounds_at_the_ambient_precision():
         assert rounded > exact
         assert negligible(rounded, 301, (mpf(5),))
         assert not negligible(_ulp_above(rounded, 53), 301, (mpf(5),))
+
+
+def _written_negligible(x, prec, scale, power):
+    """The tolerance test as written, with no shortcut: the oracle of ``negligible``."""
+    return abs(x) <= tolerance(prec) * max([mpf(1)] + [abs(v) for v in scale]) ** power
+
+
+def _outcome(test, *args):
+    """A verdict, or the type of the exception raised instead of one."""
+    try:
+        return test(*args)
+    except Exception as exc:  # the formula refuses some mixes of types
+        return type(exc)
+
+
+def _near(value, bits, ulps):
+    """``value`` moved by ``ulps`` units in its last place at ``bits`` bits."""
+    return value + ulps * mp.ldexp(mpf(1), value.exp + value.bc - bits)
+
+
+SCALE_ENTRIES = st.one_of(
+    st.integers(-6, 14).map(lambda k: ("pow2", k)),
+    st.tuples(st.just("real"), st.integers(-3, 12), st.floats(-1, 1)),
+    st.tuples(st.just("complex"), st.integers(-3, 12), st.floats(0, 6.3)),
+    st.sampled_from([("one",), ("zero",), ("czero",), ("inf",), ("nan",),
+                     ("int", 3), ("int", -1), ("fraction",)]),
+)
+
+
+def _scale_entry(spec):
+    kind = spec[0]
+    if kind == "pow2":
+        return mp.ldexp(mpf(1), spec[1])
+    if kind == "real":
+        return mp.ldexp(1 + mpf(spec[2]) / 3, spec[1])
+    if kind == "complex":
+        return mp.expj(spec[2]) * mp.ldexp(mpf(1), spec[1])
+    return {"one": mpf(1), "zero": mpf(0), "czero": mpc(0), "inf": mpf("inf"),
+            "nan": mpf("nan"), "fraction": Fraction(3, 2)}.get(kind, spec[-1])
+
+
+@settings(max_examples=150)
+@given(ambient=st.sampled_from([53, 2464]),
+       prec=st.sampled_from([63, 300, 301, 2400, 2401]),
+       power=st.sampled_from([1, 3, 10]),
+       scale=st.lists(SCALE_ENTRIES, max_size=3),
+       angle=st.floats(0, 6.3),
+       shift=st.integers(-4, 4))
+def test_negligible_matches_the_written_formula(ambient, prec, power, scale, angle, shift):
+    # x runs over the threshold and the powers of two next to it, each
+    # within 2 ulps, as a real, a negative, an imaginary and a complex
+    # value at ``angle``; and over zero, infinities, NaN and non-mpmath x
+    with mp.workprec(ambient):
+        entries = [_scale_entry(spec) for spec in scale]
+        xs = [mpf(0), mpc(0), mpf("inf"), -mpf("inf"), mpf("nan"), mpc(0, "inf"),
+              0, Fraction(1, 2**400)]
+        try:
+            threshold = tolerance(prec) * max([mpf(1)] + [abs(v) for v in entries]) ** power
+        except TypeError:
+            threshold = tolerance(prec)
+        if threshold == mpf("inf"):
+            threshold = tolerance(prec)
+        pow2 = mp.ldexp(mpf(1), threshold.exp + threshold.bc - 1 + shift)
+        turn = mp.expj(angle)
+        for base in (threshold, pow2):
+            for ulps in (-2, -1, 0, 1, 2):
+                r = _near(base, ambient, ulps)
+                xs += [r, -r, mpc(0, r), r * turn]
+        for x in xs:
+            want = _outcome(_written_negligible, x, prec, entries, power)
+            assert _outcome(negligible, x, prec, entries, power) == want, (x, entries)
+
+
+@pytest.mark.parametrize("scale, power", [((), 1), ((mpf(1),), 10), ((mpc(1, 1),), 3)])
+def test_negligible_decides_a_complex_value_at_the_threshold(scale, power):
+    # |x| is up to sqrt(2) times its larger part: a verdict read from the
+    # exponents needs the margin to reach the written one
+    with mp.workprec(AMBIENT):
+        threshold = tolerance(300) * max(mpf(1), abs(scale[0]) if scale else 0) ** power
+        for ulps in (-1, 0, 1):
+            for turn in (mp.expj(mp.pi / 4), mp.expj(0.3), mp.expj(1.2)):
+                x = _near(threshold, AMBIENT, ulps) * turn
+                assert negligible(x, 300, scale, power) == _written_negligible(x, 300, scale, power)
+
+
+# ---------------------------------------------------------------------------
+# pivot choice: the first entry of largest rounded modulus
+# ---------------------------------------------------------------------------
+
+
+def _abs_pivot(zs, bits):
+    """The oracle: ``max`` over the indices, keyed by ``abs`` at ``bits`` bits."""
+    with mp.workprec(bits):
+        return max(range(len(zs)), key=lambda i: abs(zs[i]))
+
+
+def _variant(z, name, bits):
+    """A value whose modulus ties or nearly ties |z| at ``bits`` bits."""
+    with mp.workprec(bits):
+        if name == "same":
+            return z
+        if name == "conj":
+            return mp.conj(z)
+        if name == "i":
+            return mpc(-z.imag, z.real)
+        if name == "neg":
+            return -z
+        if name == "zero":
+            return mpc(0)
+        if name == "real":
+            return mpc(abs(z))
+        if name == "imag":
+            return mpc(0, -abs(z))
+    sign, k = (1, name) if name > 0 else (-1, -name)
+    with mp.workprec(bits + 8):
+        scaled = z * (1 + sign * k * mp.ldexp(mpf(1), -bits))
+    with mp.workprec(bits):
+        return +scaled
+
+
+VARIANTS = ["same", "conj", "i", "neg", "zero", "real", "imag", 1, -1, 2, -2, 3, -3]
+
+
+@settings(max_examples=100)
+@given(bits=st.sampled_from([364, 2464]),
+       re=st.integers(1, 2**40), im=st.integers(0, 2**40), exp=st.integers(-40, 40),
+       names=st.lists(st.sampled_from(VARIANTS), min_size=1, max_size=10),
+       others=st.lists(st.tuples(st.integers(-2**20, 2**20), st.integers(-2**20, 2**20)),
+                       max_size=3))
+def test_pivot_choice_matches_max_of_rounded_abs_on_near_ties(bits, re, im, exp, names, others):
+    with mp.workprec(bits):
+        # a base value with a full-width mantissa, so its variants round
+        z = mpc(re, im) * (mp.sqrt(mpf(2)) + mp.pi * 1j) * mp.ldexp(mpf(1), exp)
+        zs = [_variant(z, name, bits) for name in names]
+        zs += [mpc(a, b) * mp.ldexp(mpf(1), exp) for a, b in others]
+    assert first_largest_modulus([v._mpc_ for v in zs], bits) == _abs_pivot(zs, bits)
+
+
+@pytest.mark.parametrize("bits", [364, 2464])
+def test_pivot_choice_breaks_near_ties_like_max(bits):
+    with mp.workprec(bits):
+        z = (mp.sqrt(mpf(2)) + mp.pi * 1j) * 128
+        # one ulp more in a tiny imaginary part: a larger norm, the same rounded abs
+        w = mpc(mp.sqrt(mpf(3)), mp.ldexp(mp.sqrt(mpf(5)), -40))
+        w_up = mpc(w.real, _near(w.imag, bits, 1))
+    columns = [
+        [w, w_up],
+        [w_up, w],
+        [_variant(z, 1, bits), z, _variant(z, -1, bits)],
+        [_variant(z, "real", bits), z, _variant(z, "i", bits)],
+        [z, z, mp.conj(z)],                             # exact duplicates: the first wins
+        [mpc(0), mpc(0)],
+        [mpc(0), _variant(z, "neg", bits), z],
+    ]
+    for zs in columns:
+        assert first_largest_modulus([v._mpc_ for v in zs], bits) == _abs_pivot(zs, bits)
+    assert first_largest_modulus([w._mpc_, w_up._mpc_], bits) == 0
 
 
 @pytest.mark.parametrize("a, b, expected", [

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import libmpc, libmpf
 
 from g2modpoly.exactnum import WORK_GUARD, mpf_to_fraction, to_mpc, tolerance
 from g2modpoly.g2curve import (
@@ -232,15 +233,53 @@ def _full_row_resultant(coeffs, prec):
         return det
 
 
+GENERIC = (-2, 3, 1, -1, 0, 2, 1)
+# refused as singular at 300 bits although their images are accurate
+DEFECT_CURVES = [(1, 0, -3, 2, -1, -2, 1), (1, -1, 2, 2, 2, -2, 1), (0, -2, 0, -3, 0, -1, 1)]
+# five of its images need the model move x -> t + 1/x
+MODEL_MOVE = tuple(coeffs_from_roots([F(r) for r in (0, 1, 2, 3, 5, 6)]))
+
+
+def _images(coeffs, prec, image_prec=None):
+    return [richelot_image(triple, image_prec or prec).image
+            for triple in enumerate_factorizations(curve(*coeffs), prec)]
+
+
 @pytest.mark.parametrize("prec", [300, 4800])
 def test_resultant_of_the_fifteen_images_is_bit_identical_to_full_row_elimination(prec):
-    # at 364 and 4864 working bits: the elimination skips the columns no later
-    # step reads, which must not change a single bit of the determinant
-    for triple in enumerate_factorizations(curve(-2, 3, 1, -1, 0, 2, 1), prec):
-        image = richelot_image(triple, prec).image
+    # at 364 and 4864 working bits: the elimination works on raw tuples,
+    # picks pivots by exact norms, skips the columns no later step reads and
+    # the updates by an exact zero, none of which may change a single bit
+    curves = [GENERIC, MODEL_MOVE] + (DEFECT_CURVES if prec == 300 else [])
+    images = [image for coeffs in curves for image in _images(coeffs, prec)]
+    # coefficients with more bits than the elimination works at: nothing is skipped
+    images += _images(GENERIC, prec, prec + 40)
+    for image in images:
         got = _resultant_f_fprime(image.coeffs, False, prec)
         want = _full_row_resultant(image.coeffs, prec)
         assert (got.real._mpf_, got.imag._mpf_) == (want.real._mpf_, want.imag._mpf_)
+
+
+@pytest.mark.parametrize("prec", [300, 2400])
+def test_elimination_takes_no_square_root(prec, monkeypatch):
+    images = _images(GENERIC, prec)
+    calls = []
+
+    def spy(name, raw):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return raw(*args, **kwargs)
+        return counted
+
+    for module in (libmpc, libmpf):
+        for name in ("mpf_hypot", "mpf_sqrt"):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    with mp.workprec(prec + WORK_GUARD):
+        assert abs(mpc(3, 4)) == 5 and calls     # the spies see mpmath's abs
+    calls.clear()
+    for image in images:
+        _resultant_f_fprime(image.coeffs, False, prec)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
