@@ -8,14 +8,14 @@ in both:
 
 The curves are the first ``--curves`` of the benchmark's seeded pool, drawn
 by ``perfbench/workloads.py``. For each of ``modpoly eval2``, ``richelot
-all`` and ``curve invariants`` at the default precision it prints one
-sha256 over every curve's exit status and the report's ``results`` and
-``checks`` (``inputs`` carries the temporary file path, so it is left out,
-as in ``tests/test_cli.py``). It prints the sha256 of the raw mpmath
-tuples (``_mpf_``) of every coefficient of ``evaluated_P2(c, 300).p2``
-over the same curves, or of the exception's name for a curve that is
-refused, so the float P2 is compared bit for bit and not only to the
-printed digits. Then it prints the sha256 of ``(prec, rational_p2)`` from
+all``, ``curve invariants`` and ``modpoly ftilde --k 2`` and ``--k 3`` at
+the default precision it prints one sha256 over every curve's exit status
+and the report's ``results`` and ``checks`` (``inputs`` carries the
+temporary file path, so it is left out, as in ``tests/test_cli.py``). It
+prints the sha256 of the raw mpmath tuples (``_mpf_``) of every
+coefficient of ``evaluated_P2(c, 300).p2`` over the same curves, or of the
+exception's name for a curve that is refused, so the float P2 is compared
+bit for bit and not only to the printed digits. Then it prints the sha256 of ``(prec, rational_p2)`` from
 the ``recon-ladder-800`` operation (``evaluated_P2(..., reconstruct=True)``
 under 2^800 up to 4200 bits) on the first ``--recon`` curves. The library
 and the benchmark modules are imported from this checkout.
@@ -37,7 +37,8 @@ from g2modpoly import cli, modpoly  # noqa: E402
 
 import workloads  # noqa: E402
 
-COMMANDS = (("modpoly", "eval2"), ("richelot", "all"), ("curve", "invariants"))
+COMMANDS = (("modpoly", "eval2"), ("richelot", "all"), ("curve", "invariants"),
+            ("modpoly", "ftilde", "--k", "2"), ("modpoly", "ftilde", "--k", "3"))
 
 
 def report_digest(command, paths):

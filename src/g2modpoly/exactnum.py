@@ -6,9 +6,11 @@ collected here:
 
 * rationals: ``fractions.Fraction`` with ``p/q`` string (de)serialization,
 * sparse multivariate polynomials over the rationals (``MultiPoly``),
-* dense univariate polynomials: one product and one Horner kernel
-  (``poly_mul``, ``horner``) and the complex type ``ComplexPoly`` at a
-  stated precision,
+* dense univariate polynomials as coefficient lists over any ring:
+  ``poly_mul``, ``poly_from_roots`` and ``horner`` are the package's only
+  polynomial arithmetic, over Fractions, mpc values and F_{p^2} alike;
+  ``ComplexPoly`` holds mpc coefficients at a stated precision and adds
+  only synthetic division (``deflate``),
 * exact linear algebra (nullspace, fraction-free determinants) and
   continued-fraction rational reconstruction.
 
@@ -314,10 +316,6 @@ class MultiPoly:
     def checksum(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.canonical_text())
-
     @classmethod
     def load(cls, path: str, variables: Tuple[str, ...]) -> "MultiPoly":
         terms: Dict[Tuple[int, ...], Fraction] = {}
@@ -383,6 +381,19 @@ def poly_mul(u: Sequence[Scalar], v: Sequence[Scalar]) -> List[Scalar]:
     return out
 
 
+def poly_from_roots(roots: Sequence, one) -> list:
+    """The monic product of ``X - r`` over ``roots``, constant coefficient first.
+
+    ``one`` is the ring's 1 (``mpc(1)``, or ``modp.Fp2(1, 0, p)``). Each
+    factor is multiplied in by ``poly_mul``, so mpmath values round at the
+    ambient precision.
+    """
+    out = [one]
+    for r in roots:
+        out = poly_mul(out, [-r, one])
+    return out
+
+
 def horner(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
     """Value at ``x`` of a dense polynomial, constant coefficient first.
 
@@ -422,33 +433,6 @@ class ComplexPoly:
             return -1
         return len(self.coeffs) - 1
 
-    def __call__(self, x: Scalar) -> mpc:
-        with mp.workprec(self.prec + WORK_GUARD):
-            return horner(self.coeffs, to_mpc(x, self.prec + WORK_GUARD))
-
-    def derivative(self) -> "ComplexPoly":
-        with mp.workprec(self.prec + WORK_GUARD):
-            if len(self.coeffs) == 1:
-                return ComplexPoly((mpc(0),), self.prec)
-            cs = tuple(self.coeffs[k] * k for k in range(1, len(self.coeffs)))
-            return ComplexPoly(cs, self.prec)
-
-    def add(self, other: "ComplexPoly") -> "ComplexPoly":
-        prec = min(self.prec, other.prec)
-        with mp.workprec(prec + WORK_GUARD):
-            n = max(len(self.coeffs), len(other.coeffs))
-            out = [mpc(0)] * n
-            for i, a in enumerate(self.coeffs):
-                out[i] += a
-            for i, b in enumerate(other.coeffs):
-                out[i] += b
-            return ComplexPoly(tuple(out), prec)
-
-    def scale(self, factor: Scalar) -> "ComplexPoly":
-        with mp.workprec(self.prec + WORK_GUARD):
-            f = to_mpc(factor, self.prec + WORK_GUARD)
-            return ComplexPoly(tuple(c * f for c in self.coeffs), self.prec)
-
     def deflate(self, root: Scalar) -> "ComplexPoly":
         """Synthetic division by ``X - root`` (remainder is discarded)."""
         with mp.workprec(self.prec + WORK_GUARD):
@@ -465,17 +449,10 @@ class ComplexPoly:
 
     @classmethod
     def from_roots(cls, roots: Sequence[Scalar], prec: int) -> "ComplexPoly":
-        """Expand the monic polynomial with the given roots."""
+        """Expand the monic polynomial with the given roots (``poly_from_roots``)."""
         with mp.workprec(prec + WORK_GUARD):
-            coeffs = [mpc(1)]
-            for root in roots:
-                r = to_mpc(root, prec + WORK_GUARD)
-                nxt = [mpc(0)] * (len(coeffs) + 1)
-                for k, c in enumerate(coeffs):
-                    nxt[k + 1] += c
-                    nxt[k] -= c * r
-                coeffs = nxt
-            return cls(tuple(coeffs), prec)
+            return cls(tuple(poly_from_roots([to_mpc(r, prec + WORK_GUARD) for r in roots],
+                                             mpc(1))), prec)
 
 
 # ---------------------------------------------------------------------------

@@ -94,10 +94,6 @@ class IgusaTriple:
     def as_tuple(self) -> Tuple[Scalar, Scalar, Scalar]:
         return (self.j1, self.j2, self.j3)
 
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(v, (Fraction, int)) for v in self.as_tuple())
-
 
 def validate_curve(coeffs: Sequence[Union[int, Fraction, str]]) -> Genus2Curve:
     """Build a rational curve after checking monicity and separability.

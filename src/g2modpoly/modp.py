@@ -11,9 +11,12 @@ candidate rationals.
 
 Primes p = 3 (mod 4) are used, so F_{p^2} = F_p[i] with i^2 = -1
 (``Fp2``), counting down from 2^61 - 1. Polynomials over F_p are int lists,
-constant coefficient first, reduced mod p; the shared ``poly_mul``,
-``horner`` and Igusa term tables run over ``Fp2`` unchanged. Nothing here
-uses ``random``, so every result is deterministic.
+constant coefficient first, reduced mod p. The float pipeline's own
+kernels run over ``Fp2`` unchanged: ``richelot_delta`` and
+``image_sextic`` for each image, the Igusa term tables, and
+``poly_from_roots`` to expand P2, so P2 is expanded by the same code over
+C and over F_{p^2}. Nothing here uses ``random``, so every result is
+deterministic.
 """
 
 from __future__ import annotations
@@ -21,15 +24,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence
 
-from .exactnum import horner, poly_mul
+from .exactnum import horner, poly_from_roots, poly_mul
 from .g2curve import Genus2Curve, _I2_TOP, _eval_terms, _power_table, _sylvester_f_fprime
 from .igusa_data import I2_TERMS
 from .richelot import (
     MOVE_SHIFTS,
-    bracket_formula,
-    delta_formula,
+    image_sextic,
     moved_model,
     pair_partitions_of_six,
+    richelot_delta,
 )
 
 #: primes tried by ``check_mod_p`` before it gives up; for an S6 sextic at
@@ -169,22 +172,21 @@ def p2_mod_p(f: Sequence[int], p: int) -> Optional[List[Fp2]]:
     roots = _roots(f, h, p)
     if roots is None:
         return None
-    p2 = [Fp2(1, 0, p)]
+    j1s = []
     for pairing in pair_partitions_of_six():
         j1 = _image_j1([(roots[i] * roots[j], -(roots[i] + roots[j]), 1)
                         for i, j in pairing])
         if j1 is None:
             return None
-        p2 = poly_mul(p2, [-j1, 1])
-    return p2
+        j1s.append(j1)
+    return poly_from_roots(j1s, Fp2(1, 0, p))
 
 
 def _image_j1(quads) -> Optional[Fp2]:
     """j1 = I2^5 / I10 of the Richelot image of three monic quadratics."""
-    if not delta_formula(quads):
+    if not richelot_delta(quads):
         return None
-    a, b, c = quads
-    g = poly_mul(poly_mul(bracket_formula(a, b), bracket_formula(a, c)), bracket_formula(b, c))
+    g = image_sextic(quads)
     if not g[6]:
         t = next((t for t in MOVE_SHIFTS if horner(g, t)), None)
         if t is None:

@@ -51,7 +51,7 @@ from .exactnum import (
     tolerance,
 )
 from .g2curve import Genus2Curve, IgusaTriple, absolute_igusa, absolute_j1
-from .modp import check_mod_p, field_det
+from .modp import check_mod_p
 from .richelot import all_isogenous_invariants
 
 DEFAULT_DENOM_BOUND = 1 << 256
@@ -77,8 +77,6 @@ FULL_P2_DEGREE_DATA = {
 L2_TERM_COUNT = 34
 L2_LEADING = ((5, 0, 0), Fraction(236196))
 L2_CHECKSUM = "381246cd732442107201dd132ebf5462aa4b6ec4ebfd73ae739a3b0579ac741a"
-
-_PREFILTER_PRIME = 2305843009213693951  # 2^61 - 1
 
 
 class SplitInputError(ValueError):
@@ -176,11 +174,11 @@ def _p2(curve: Genus2Curve, prec: int, triples: bool = False):
 
 def _companion(p2: ComplexPoly, xs: Sequence[mpc], jks: Sequence[mpc]) -> ComplexPoly:
     """Ftilde_k = sum_i j_k(image_i) P2 / (X - x_i), from the images' j_k values."""
-    ft: Optional[ComplexPoly] = None
-    for x, jk in zip(xs, jks):
-        term = p2.deflate(x).scale(jk)
-        ft = term if ft is None else ft.add(term)
-    return ft
+    with mp.workprec(p2.prec + WORK_GUARD):
+        ft = [0] * p2.degree
+        for x, jk in zip(xs, jks):
+            ft = [s + c * jk for s, c in zip(ft, p2.deflate(x).coeffs)]
+    return ComplexPoly(tuple(ft), p2.prec)
 
 
 def _build(curve: Genus2Curve, prec: int) -> EvaluatedModPoly:
@@ -307,34 +305,33 @@ class CompanionReport:
         return self.worst_rel_2 <= tol and self.worst_rel_3 <= tol
 
 
-def companion_identity_report(curve: Genus2Curve, prec: int = DEFAULT_PREC,
-                              max_pipeline_prec: Optional[int] = None) -> CompanionReport:
+def companion_identity_report(curve: Genus2Curve, prec: int = DEFAULT_PREC) -> CompanionReport:
     """Measure the companion identity residuals at certified precision.
 
     Builds the evaluated polynomial and companions at an internal precision,
     measures the largest relative deviation of Ftilde_k(x_i)/P'(x_i) from
     j_k(image_i) over all 15 roots and k in {2, 3}, and escalates the
     internal precision until the residual bound is dominated by the
-    requested tolerance (or the cap is hit, raising PrecisionError).
+    requested tolerance (or the cap 64*prec is hit, raising PrecisionError).
     """
-    cap = max_pipeline_prec if max_pipeline_prec is not None else 64 * prec
+    cap = 64 * prec
     w = prec + WORK_GUARD
     while True:
         p2, xs, triples = _p2(curve, w, triples=True)
         jks = {k: [t.as_tuple()[k - 1] for t in triples] for k in (2, 3)}
-        ft = {k: _companion(p2, xs, jks[k]) for k in (2, 3)}
+        ft = {k: _companion(p2, xs, jks[k]).coeffs for k in (2, 3)}
         with mp.workprec(w + WORK_GUARD):
-            dp = p2.derivative()
+            dp = [k * c for k, c in enumerate(p2.coeffs)][1:]
             worst = {2: mpf(0), 3: mpf(0)}
             cond_bits = 0
             for i, x in enumerate(xs):
-                dpx = dp(x)
+                dpx = horner(dp, x)
                 spread = _eval_magnitude(dp, x)
                 if dpx == 0:
                     raise CollidingImagesError("derivative vanishes at an image invariant")
                 cond_bits = max(cond_bits, int(mp.log(spread / abs(dpx), 2)) + 1)
                 for k in (2, 3):
-                    fx = ft[k](x)
+                    fx = horner(ft[k], x)
                     worst[k] = max(worst[k], relative_deviation(jks[k][i], fx / dpx))
                     spread_f = _eval_magnitude(ft[k], x)
                     if abs(fx) > 0:
@@ -348,9 +345,9 @@ def companion_identity_report(curve: Genus2Curve, prec: int = DEFAULT_PREC,
         w = min(cap, max(2 * w, needed))
 
 
-def _eval_magnitude(poly: ComplexPoly, x: mpc) -> mpf:
+def _eval_magnitude(coeffs: Sequence[mpc], x: mpc) -> mpf:
     """Sum of absolute term magnitudes |c_k| |x|^k (conditioning estimate)."""
-    return horner([abs(c) for c in poly.coeffs], abs(mpc(x)))
+    return horner([abs(c) for c in coeffs], abs(mpc(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +365,8 @@ def degree_profile(evaluator: Callable[[Fraction], Fraction], m_max: int, n_max:
     points is singular exactly when a relation P = c Q with deg P <= m,
     deg Q <= n fits the samples. The first profile singular on two disjoint
     sample windows (one window if only m + n + 2 samples are given) is
-    returned; None if no candidate fits. Determinants are decided exactly:
-    a 61-bit prime residue prefilter, then a fraction-free integer
-    determinant when the residue vanishes.
+    returned; None if no candidate fits. Each determinant is decided
+    exactly, as a fraction-free integer determinant (``bareiss_det``).
 
     ``evaluator`` must return exact Fractions and be defined at every
     sample; for a target in lowest terms and generic samples the returned
@@ -403,9 +399,7 @@ def degree_profile(evaluator: Callable[[Fraction], Fraction], m_max: int, n_max:
 
 def _relation_matrix_singular(m: int, n: int, xs: Sequence[Fraction],
                               cs: Sequence[Fraction]) -> bool:
-    size = m + n + 2
     rows: List[List[int]] = []
-    prefilter_ok = True
     for x, c in zip(xs, cs):
         row: List[Fraction] = []
         p = Fraction(1)
@@ -417,11 +411,5 @@ def _relation_matrix_singular(m: int, n: int, xs: Sequence[Fraction],
             row.append(p)
             p *= x
         lcm = math.lcm(*(v.denominator for v in row))
-        ints = [int(v * lcm) for v in row]
-        if lcm % _PREFILTER_PRIME == 0:
-            prefilter_ok = False
-        rows.append(ints)
-    if prefilter_ok:
-        if field_det(rows, _PREFILTER_PRIME):
-            return False
+        rows.append([int(v * lcm) for v in row])
     return bareiss_det(rows) == 0

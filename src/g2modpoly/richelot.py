@@ -14,6 +14,9 @@ split marker rather than an error. Otherwise the right side is rescaled to
 a monic sextic model (the constant is absorbed into a quadratic twist,
 which does not move the absolute invariants).
 
+``bracket``, ``richelot_delta`` and ``image_sextic`` are written over any
+ring, so ``modp`` runs the same formulas over F_{p^2}.
+
 The dual isogeny is induced by the bracket triple itself: applying the
 construction to the image with factorization ([A,B], [A,C], [B,C])
 (monically normalized) recovers a curve isomorphic to the start, which is
@@ -30,7 +33,6 @@ from mpmath import mp, mpc, mpf
 import mpmath
 
 from .exactnum import (
-    DEFAULT_PREC,
     PrecisionError,
     Scalar,
     WORK_GUARD,
@@ -268,21 +270,15 @@ def enumerate_factorizations(curve: Genus2Curve, prec: int) -> Tuple[QuadraticTr
         return tuple(triples)
 
 
-def bracket(a: Sequence[Scalar], b: Sequence[Scalar], prec: int = DEFAULT_PREC) -> Quadratic:
-    """[A, B] = A'B - AB' for quadratics, constant coefficient first.
+def bracket(a: Sequence, b: Sequence) -> tuple:
+    """[A, B] = A'B - AB' for quadratics, constant coefficient first, over any
+    ring: mpmath values round at the ambient precision.
 
     For A = a0 + a1 x + a2 x^2 and B likewise this is
     (a1 b0 - a0 b1) + 2 (a2 b0 - a0 b2) x + (a2 b1 - a1 b2) x^2.
     The result can degenerate to lower degree (for example when A and B are
     both monic with equal linear coefficients).
     """
-    with mp.workprec(prec + WORK_GUARD):
-        return bracket_formula([to_mpc(c, prec + WORK_GUARD) for c in a],
-                               [to_mpc(c, prec + WORK_GUARD) for c in b])
-
-
-def bracket_formula(a: Sequence, b: Sequence) -> tuple:
-    """``bracket`` over any ring: mpmath values round at the ambient precision."""
     a0, a1, a2 = a
     b0, b1, b2 = b
     return (
@@ -292,20 +288,22 @@ def bracket_formula(a: Sequence, b: Sequence) -> tuple:
     )
 
 
-def richelot_delta(triple: QuadraticTriple) -> mpc:
-    """det of the 3x3 coefficient matrix of (A, B, C) in basis (1, x, x^2)."""
-    with mp.workprec(triple.prec + WORK_GUARD):
-        return delta_formula(triple.quads)
-
-
-def delta_formula(quads: Sequence[Sequence]):
-    """``richelot_delta`` over any ring: mpmath values round at the ambient precision."""
+def richelot_delta(quads: Sequence[Sequence]):
+    """det of the 3x3 coefficient matrix of (A, B, C) in basis (1, x, x^2),
+    over any ring: mpmath values round at the ambient precision."""
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = quads
     return (
         a0 * (b1 * c2 - b2 * c1)
         - a1 * (b0 * c2 - b2 * c0)
         + a2 * (b0 * c1 - b1 * c0)
     )
+
+
+def image_sextic(quads: Sequence[Sequence]) -> list:
+    """The image sextic [A,B][A,C][B,C] of three quadratics, constant
+    coefficient first, over any ring (``poly_mul`` of the brackets)."""
+    a, b, c = quads
+    return poly_mul(poly_mul(bracket(a, b), bracket(a, c)), bracket(b, c))
 
 
 def richelot_image(triple: QuadraticTriple, prec: Optional[int] = None) -> RichelotStep:
@@ -320,11 +318,10 @@ def richelot_image(triple: QuadraticTriple, prec: Optional[int] = None) -> Riche
     """
     p = prec if prec is not None else triple.prec
     with mp.workprec(p + WORK_GUARD):
-        delta = richelot_delta(triple)
+        delta = richelot_delta(triple.quads)
         if negligible(delta, p, [c for q in triple.quads for c in q], 3):
             return RichelotStep(triple, delta, None)
-        a, b, c = triple.quads
-        g = poly_mul(poly_mul(bracket(a, b, p), bracket(a, c, p)), bracket(b, c, p))
+        g = image_sextic(triple.quads)
         if negligible(g[6], p, g):
             g = _restore_degree(g, p)
         lead = g[6]
@@ -373,7 +370,7 @@ def dual_triple(step: RichelotStep) -> QuadraticTriple:
         a, b, c = step.triple.quads
         quads = []
         for u, v in ((a, b), (a, c), (b, c)):
-            q = bracket(u, v, p)
+            q = bracket(u, v)
             if negligible(q[2], p, q):
                 raise PrecisionError("degenerate bracket: dual factorization has no monic model")
             quads.append((q[0] / q[2], q[1] / q[2], mpc(1)))

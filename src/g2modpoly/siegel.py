@@ -182,10 +182,6 @@ class RiemannReport:
     prec: int
     checks: Tuple[CheckResult, ...]
 
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
 
 def riemann_form_check(tau: SiegelPoint, rng: Optional[random.Random] = None) -> RiemannReport:
     """Certify the principally polarized structure attached to tau.

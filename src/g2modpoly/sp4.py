@@ -114,9 +114,6 @@ class SymplecticMatrix:
         neg_j = tuple(tuple(-x for x in row) for row in J4)
         return SymplecticMatrix(mat_mul(mat_mul(neg_j, mt), J4))
 
-    def flat(self) -> Tuple[int, ...]:
-        return tuple(x for row in self.rows for x in row)
-
 
 IDENTITY = SymplecticMatrix(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
 J_MATRIX = SymplecticMatrix(J4)

@@ -23,6 +23,7 @@ from g2modpoly.exactnum import (
     nullspace,
     pair_to_complex,
     parse_rational,
+    poly_from_roots,
     poly_mul,
     rational_reconstruct,
     relative_deviation,
@@ -587,7 +588,7 @@ def test_multipoly_drops_zero_terms_and_is_canonical():
 def test_multipoly_save_load_roundtrip(tmp_path):
     p = MultiPoly(("x", "y"), {(2, 1): Fraction(-5, 3), (0, 0): Fraction(7)})
     path = tmp_path / "poly.terms"
-    p.save(str(path))
+    path.write_text(p.canonical_text())
     q = MultiPoly.load(str(path), ("x", "y"))
     assert q.terms == p.terms
     assert q.checksum() == p.checksum()
@@ -611,22 +612,23 @@ def test_complexpoly_trims_exact_zero_leading_coefficients():
     assert ComplexPoly((0,), 128).degree == -1
 
 
-def test_complexpoly_call_derivative_and_deflate():
-    p = ComplexPoly((0, 0, 0, 1), 200)  # x^3
-    with mp.workprec(264):
-        assert abs(p(2) - 8) < tolerance(200) * 8
-    d = p.derivative()
-    assert _coeff_close(d, (0, 0, 3), 200)
-
+def test_complexpoly_from_roots_and_deflate():
     q = ComplexPoly.from_roots((1, 2), 200)  # (x-1)(x-2)
     assert _coeff_close(q, (2, -3, 1), 200)
     assert _coeff_close(q.deflate(2), (-1, 1), 200)
 
 
-def test_complexpoly_mul_add_scale():
+def test_complexpoly_coefficients_multiply_with_poly_mul():
     a = ComplexPoly((1, 1), 200)   # 1 + x
     b = ComplexPoly((-1, 1), 200)  # -1 + x
     with mp.workprec(264):
         assert _coeff_close(ComplexPoly(poly_mul(a.coeffs, b.coeffs), 200), (-1, 0, 1), 200)
-    assert _coeff_close(a.add(b), (0, 2), 200)
-    assert _coeff_close(a.scale(3), (3, 3), 200)
+
+
+def test_poly_from_roots_is_exact_over_the_rationals():
+    roots = [Fraction(1), Fraction(-2, 3), Fraction(5, 7), Fraction(1)]
+    coeffs = poly_from_roots(roots, Fraction(1))
+    assert coeffs == poly_mul(poly_mul([-1, 1], [Fraction(2, 3), 1]),
+                              poly_mul([Fraction(-5, 7), 1], [-1, 1]))
+    assert all(horner(coeffs, r) == 0 for r in roots)
+    assert poly_from_roots([], Fraction(1)) == [1]

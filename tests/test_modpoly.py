@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 from mpmath import mp, mpc, mpf
 
-from g2modpoly.exactnum import ComplexPoly, mpf_to_fraction, poly_mul, to_mpc, tolerance
+from g2modpoly.exactnum import ComplexPoly, horner, mpf_to_fraction, poly_mul, to_mpc, tolerance
 from g2modpoly import g2curve, modp, modpoly
 from g2modpoly.g2curve import Genus2Curve, SingularCurveError, absolute_igusa, transform_model
 from g2modpoly.modpoly import (
@@ -163,7 +163,7 @@ def test_evaluated_p2_vanishes_at_image_invariants():
         scale = sum(abs(x) for x in ev.p2.coeffs)
         for r in records:
             x = r.invariants.j1
-            val = ev.p2(x)
+            val = horner(ev.p2.coeffs, x)
             bound = tol * scale * max(mpf(1), abs(x)) ** 15
             assert abs(val) <= bound
 
@@ -480,15 +480,15 @@ def test_companion_identity_direct_at_high_build_precision():
     ev = evaluated_P2(c, prec)
     ft2, ft3 = (evaluated_Ftilde(c, k, prec) for k in (2, 3))
     records = all_isogenous_invariants(c, prec)
-    dp = ev.p2.derivative()
     tol = tolerance(300)
     with mp.workprec(prec + 64):
+        dp = [k * a for k, a in enumerate(ev.p2.coeffs)][1:]
         for r in records:
             x = r.invariants.j1
-            dpx = dp(x)
+            dpx = horner(dp, x)
             assert abs(dpx) > 0
             for ft, want in ((ft2, r.invariants.j2), (ft3, r.invariants.j3)):
-                got = ft(x) / dpx
+                got = horner(ft.coeffs, x) / dpx
                 assert abs(got - want) <= tol * max(mpf(1), abs(want))
 
 

@@ -184,70 +184,40 @@ def test_triple_requires_monic_quadratics():
 # ---------------------------------------------------------------------------
 
 
-def _close_poly(got, want, prec=PREC, slack=16):
-    tol = tolerance(prec)
-    with mp.workprec(prec + 64):
-        for g, w in zip(got, want):
-            w = to_mpc(w, prec + 64)
-            if abs(g - w) > tol * max(mpf(1), abs(w)) * slack:
-                return False
-    return True
-
-
 def test_bracket_of_a_quadratic_with_itself_vanishes():
-    assert _close_poly(bracket((0, -1, 1), (0, -1, 1), PREC), (0, 0, 0))
+    assert bracket((0, -1, 1), (0, -1, 1)) == (0, 0, 0)
 
 
 def test_bracket_worked_example():
-    got = bracket((0, -1, 1), (6, -5, 1), PREC)
-    assert _close_poly(got, (-6, 12, -4))
+    assert bracket((0, -1, 1), (6, -5, 1)) == (-6, 12, -4)
 
 
 def test_bracket_degree_drop_on_even_pair():
-    got = bracket((-1, 0, 1), (-4, 0, 1), PREC)
-    assert _close_poly(got, (0, -6, 0))
+    assert bracket((-1, 0, 1), (-4, 0, 1)) == (0, -6, 0)
 
 
 def test_bracket_is_antisymmetric():
     rng = random.Random(5)
     for _ in range(20):
-        a = (rng.randint(-9, 9), rng.randint(-9, 9), 1)
-        b = (rng.randint(-9, 9), rng.randint(-9, 9), 1)
-        ab = bracket(a, b, PREC)
-        ba = bracket(b, a, PREC)
-        with mp.workprec(PREC + 64):
-            neg = tuple(-x for x in ba)
-        assert _close_poly(ab, neg)
+        a = (F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(-9, 9)), 1)
+        b = (F(rng.randint(-9, 9)), F(rng.randint(-9, 9), rng.randint(1, 9)), 1)
+        assert bracket(a, b) == tuple(-x for x in bracket(b, a))
 
 
 def test_delta_worked_example_is_32():
-    tri = QuadraticTriple(((0, -1, 1), (6, -5, 1), (20, -9, 1)), PREC)
-    with mp.workprec(PREC + 64):
-        assert abs(richelot_delta(tri) - 32) <= tolerance(PREC) * 64
+    assert richelot_delta(((0, -1, 1), (6, -5, 1), (20, -9, 1))) == 32
 
 
 def test_delta_matches_exact_coefficient_determinant():
     rng = random.Random(6)
     for _ in range(20):
-        quads = []
-        rows = []
-        for _ in range(3):
-            q = (F(rng.randint(-9, 9)), F(rng.randint(-9, 9)), F(1))
-            quads.append(tuple(int(x) for x in q))
-            rows.append(list(q))
-        tri = QuadraticTriple(tuple(quads), PREC)
-        want = det_fraction(rows)
-        with mp.workprec(PREC + 64):
-            got = richelot_delta(tri)
-            assert abs(got - to_mpc(want, PREC + 64)) <= tolerance(PREC) * max(
-                mpf(1), abs(to_mpc(want, PREC + 64))
-            ) * 64
+        quads = [(F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(-9, 9)), F(1))
+                 for _ in range(3)]
+        assert richelot_delta(quads) == det_fraction(quads)
 
 
 def test_delta_vanishes_for_fully_even_triple():
-    tri = QuadraticTriple(((-1, 0, 1), (-4, 0, 1), (-9, 0, 1)), PREC)
-    with mp.workprec(PREC + 64):
-        assert abs(richelot_delta(tri)) <= tolerance(PREC)
+    assert richelot_delta(((-1, 0, 1), (-4, 0, 1), (-9, 0, 1))) == 0
 
 
 # ---------------------------------------------------------------------------
