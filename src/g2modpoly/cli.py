@@ -478,8 +478,8 @@ def _cmd_verify_all(args) -> HandlerResult:
     checks.append(_check("fifteen_richelot_steps", len(records) == 15,
                          f"{len(records)} factorizations"))
 
-    step = richelotmod.richelot_image(richelotmod.enumerate_factorizations(curve, prec)[0], prec)
-    back = richelotmod.richelot_image(richelotmod.dual_triple(step), prec)
+    step = richelotmod.richelot_image(richelotmod.enumerate_factorizations(curve, prec)[0])
+    back = richelotmod.richelot_image(richelotmod.dual_triple(step))
     work = prec + WORK_GUARD
     src = [to_mpc(v, work) for v in g2curve.absolute_igusa(curve).as_tuple()]
     img = [to_mpc(v, work) for v in g2curve.absolute_igusa(back.image).as_tuple()]

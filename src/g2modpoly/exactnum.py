@@ -11,8 +11,10 @@ collected here:
   polynomial arithmetic, over Fractions, mpc values and F_{p^2} alike;
   ``ComplexPoly`` holds mpc coefficients at a stated precision and adds
   only synthetic division (``deflate``),
-* exact linear algebra (nullspace, fraction-free determinants) and
-  continued-fraction rational reconstruction.
+* exact linear algebra: ``nullspace``, the fraction-free integer
+  determinant ``bareiss_det``, and ``field_det``, the one determinant over
+  an exact field, which the Igusa-Clebsch I10 over the rationals and over
+  F_{p^2} both take; and continued-fraction rational reconstruction.
 
 All floating point work goes through mpmath with explicit binary precision.
 A value "at precision ``prec``" means the computation ran with at least
@@ -536,19 +538,36 @@ def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def det_fraction(matrix: Sequence[Sequence[Union[Fraction, int]]]) -> Fraction:
-    """Exact determinant over the rationals (clears denominators, then Bareiss)."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    cleared: List[List[int]] = []
-    for row in rows:
-        lcm = math.lcm(*(x.denominator for x in row))
-        scale /= lcm
-        cleared.append([int(x * lcm) for x in row])
-    return scale * bareiss_det(cleared)
+def field_det(rows: Sequence[Sequence]):
+    """Determinant of a square matrix over a field, by Gaussian elimination.
+
+    Entries are Fractions or ``modp.Fp2`` values, with int zeros allowed:
+    they stay ints, so no other field's arithmetic mixes in (a nonzero int
+    pivot would be inverted as a float). Each column takes one
+    ``1 / pivot``, and the updates skip the zero entries of the pivot row.
+    Any exact elimination gives the same field element, so the result does
+    not depend on the pivot order.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    det = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        pivot = a[k]
+        det = det * pivot[k]
+        inv = 1 / pivot[k]
+        cols = [j for j in range(k + 1, n) if pivot[j]]
+        for row in a[k + 1:]:
+            if row[k]:
+                fct = row[k] * inv
+                for j in cols:
+                    row[j] = row[j] - fct * pivot[j]
+    return det
 
 
 # ---------------------------------------------------------------------------

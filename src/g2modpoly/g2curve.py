@@ -15,8 +15,10 @@ Invariants come in two flavours:
   integer coefficient formulas (igusa_data.py) over one power table
   [1, c, ..., c^4] per coefficient, shared by all three; for complex
   coefficients each power is multiplied out exactly and rounded once at
-  the working precision. I10 comes from a Sylvester resultant. All four
-  are exact over the rationals.
+  the working precision. I10 comes from a Sylvester resultant. Over an
+  exact field all four come from ``exact_clebsch``, which rational
+  curves and ``modp``'s images over F_{p^2} share; I10 is then
+  ``exactnum.field_det`` of the Sylvester matrix.
 * ``absolute_igusa``: the weight-zero triple
   j1 = I2^5/I10, j2 = I2^3 I4/I10, j3 = I2^2 I6/I10, with the powers of
   I2 taken from the same kind of table. ``absolute_j1`` is j1 alone, from
@@ -45,7 +47,7 @@ from .exactnum import (
     DEFAULT_PREC,
     Scalar,
     WORK_GUARD,
-    det_fraction,
+    field_det,
     first_largest_modulus,
     format_rational,
     negligible,
@@ -114,10 +116,9 @@ def validate_curve(coeffs: Sequence[Union[int, Fraction, str]]) -> Genus2Curve:
             raise ValueError(f"coefficient {c!r} is not rational")
     if parsed[6] != 1:
         raise NotMonicError("leading coefficient must be exactly 1")
-    curve = Genus2Curve(tuple(parsed))
-    if igusa_clebsch(curve)[3] == 0:
+    if exact_clebsch(parsed, (), 0)[0] == 0:    # I10 alone
         raise SingularCurveError("sextic has a repeated root (discriminant is zero)")
-    return curve
+    return Genus2Curve(tuple(parsed))
 
 
 def _power_table(c: Scalar, top: int) -> List[Scalar]:
@@ -172,10 +173,10 @@ def _sylvester_f_fprime(coeffs: Sequence, zero) -> List[list]:
     return a
 
 
-def _resultant_f_fprime(coeffs: Sequence[Scalar], exact: bool, prec: int) -> Scalar:
-    """Res(f, f') for monic sextic f, coefficients constant first.
+def _resultant_f_fprime(coeffs: Sequence[Scalar], prec: int) -> mpc:
+    """Res(f, f') for monic sextic f with complex coefficients, constant first.
 
-    Numerically, Gaussian elimination of the 11x11 Sylvester matrix at
+    Gaussian elimination of the 11x11 Sylvester matrix at
     ``work = prec + WORK_GUARD`` bits on raw ``_mpc_`` tuples, with the
     libmpc operations the mpc operators call, at the same precision and
     rounding, so that every entry keeps its bits. Only the columns
@@ -200,12 +201,7 @@ def _resultant_f_fprime(coeffs: Sequence[Scalar], exact: bool, prec: int) -> Sca
     size = 11
     work = prec + WORK_GUARD
     with mp.workprec(work):
-        if exact:
-            a = _sylvester_f_fprime(coeffs, 0)
-        else:
-            a = _sylvester_f_fprime([to_mpc(c, work) for c in coeffs], mpc(0))
-    if exact:
-        return det_fraction(a)
+        a = _sylvester_f_fprime([to_mpc(c, work) for c in coeffs], mpc(0))
     a = [[z._mpc_ for z in row] for row in a]
     zero = (fzero, fzero)
     skip_zero = all(part[3] <= work for z in a[0] for part in z)
@@ -240,17 +236,29 @@ def _clebsch(curve: Genus2Curve, terms: Sequence[dict], top: int) -> Tuple[Scala
     A power c^e is the same value whatever ``top`` is, so I2 does not
     depend on whether I4 and I6 are evaluated beside it.
     """
-    cs = curve.coeffs[:6]
-    prec = curve.working_prec()
     if curve.is_exact:
-        tables = [_power_table(Fraction(c), top) for c in cs]
-        values = [Fraction(_eval_terms(t, tables)) for t in terms]
-        return (*values, Fraction(-_resultant_f_fprime(curve.coeffs, True, prec)))
+        return tuple(Fraction(v) for v in exact_clebsch([Fraction(c) for c in curve.coeffs],
+                                                        terms, top))
+    prec = curve.working_prec()
     with mp.workprec(prec + WORK_GUARD):
-        tables = [_power_table(to_mpc(c, prec + WORK_GUARD), top) for c in cs]
+        tables = [_power_table(to_mpc(c, prec + WORK_GUARD), top) for c in curve.coeffs[:6]]
         values = [_eval_terms(t, tables) for t in terms]
-        i10 = -_resultant_f_fprime(curve.coeffs, False, prec)
+        i10 = -_resultant_f_fprime(curve.coeffs, prec)
         return (*(mpc(v) for v in values), mpc(i10))
+
+
+def exact_clebsch(coeffs: Sequence, terms: Sequence[dict], top: int) -> tuple:
+    """The frozen tables ``terms``, then I10, for a monic sextic over an exact field.
+
+    ``coeffs`` are the seven coefficients, constant first, all Fractions or
+    all ``modp.Fp2`` values. The tables are evaluated over power tables up
+    to c^``top`` and I10 = -Res(f, f') is ``field_det`` of the Sylvester
+    matrix, whose zeros stay int zeros. This is the one exact evaluation:
+    rational curves and their reductions into F_{p^2} take it alike.
+    """
+    tables = [_power_table(c, top) for c in coeffs[:6]]
+    values = [_eval_terms(t, tables) for t in terms]
+    return (*values, -field_det(_sylvester_f_fprime(coeffs, 0)))
 
 
 def _require_nonsingular(curve: Genus2Curve, i10: Scalar) -> None:

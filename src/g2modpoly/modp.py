@@ -13,10 +13,11 @@ Primes p = 3 (mod 4) are used, so F_{p^2} = F_p[i] with i^2 = -1
 (``Fp2``), counting down from 2^61 - 1. Polynomials over F_p are int lists,
 constant coefficient first, reduced mod p. The float pipeline's own
 kernels run over ``Fp2`` unchanged: ``richelot_delta`` and
-``image_sextic`` for each image, the Igusa term tables, and
-``poly_from_roots`` to expand P2, so P2 is expanded by the same code over
-C and over F_{p^2}. Nothing here uses ``random``, so every result is
-deterministic.
+``image_sextic`` for each image, and ``poly_from_roots`` to expand P2, so
+P2 is expanded by the same code over C and over F_{p^2}. Each image's I2
+and I10 come from ``g2curve.exact_clebsch``, the exact evaluation that
+rational curves take too (I10 by ``exactnum.field_det``). Nothing here
+uses ``random``, so every result is deterministic.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence
 
 from .exactnum import horner, poly_from_roots, poly_mul
-from .g2curve import Genus2Curve, _I2_TOP, _eval_terms, _power_table, _sylvester_f_fprime
+from .g2curve import Genus2Curve, _I2_TOP, exact_clebsch
 from .igusa_data import I2_TERMS
 from .richelot import (
     MOVE_SHIFTS,
@@ -51,8 +52,9 @@ _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 class Fp2:
     """a + b i in F_p[i] = F_{p^2} for a prime p = 3 (mod 4), i^2 = -1.
 
-    An int operand is an element of F_p, so ``poly_mul``, ``horner`` and
-    ``_eval_terms`` run over this field as they are.
+    An int operand is an element of F_p, so ``poly_mul``, ``horner``,
+    ``g2curve.exact_clebsch`` and ``exactnum.field_det`` run over this
+    field as they are. Division by zero raises ValueError.
     """
 
     __slots__ = ("re", "im", "p")
@@ -89,37 +91,13 @@ class Fp2:
 
     __rmul__ = __mul__
 
-    def __mod__(self, p: int) -> "Fp2":
-        return self  # already reduced
-
-    def inverse(self) -> "Fp2":
-        """1 / (a + b i) = (a - b i) / (a^2 + b^2); raises ValueError on zero."""
-        n = pow(self.re * self.re + self.im * self.im, -1, self.p)
+    def __rtruediv__(self, other):
+        """other / (a + b i) = other (a - b i) / (a^2 + b^2), for other in F_p."""
+        n = other * pow(self.re * self.re + self.im * self.im, -1, self.p)
         return Fp2(self.re * n, -self.im * n, self.p)
 
-
-def field_det(rows: Sequence[Sequence], p: int):
-    """Determinant of a square matrix over F_p (int entries) or F_{p^2}
-    (``Fp2`` entries), by Gaussian elimination."""
-    a = [[x % p for x in row] for row in rows]
-    n = len(a)
-    det = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        pivot = a[k][k]
-        det = det * pivot % p
-        inv = pivot.inverse() if isinstance(pivot, Fp2) else pow(pivot, -1, p)
-        tail = a[k][k + 1:]
-        for i in range(k + 1, n):
-            if a[i][k]:
-                fct = a[i][k] * inv % p
-                a[i][k + 1:] = [(x - fct * y) % p for x, y in zip(a[i][k + 1:], tail)]
-    return det % p
+    def __truediv__(self, other):
+        return self * (1 / other)
 
 
 def check_mod_p(curve: Genus2Curve, rationals: Sequence[Fraction]) -> Optional[int]:
@@ -192,13 +170,12 @@ def _image_j1(quads) -> Optional[Fp2]:
         if t is None:
             return None
         g = moved_model(g, t)
-    inv = g[6].inverse()
-    monic = [x * inv for x in g]
-    i2 = _eval_terms(I2_TERMS, [_power_table(x, _I2_TOP) for x in monic[:6]])
-    i10 = -field_det(_sylvester_f_fprime(monic, 0), inv.p)
+    inv = 1 / g[6]
+    i2, i10 = exact_clebsch([x * inv for x in g], (I2_TERMS,), _I2_TOP)
     if not i10:
         return None
-    return _power_table(i2, 5)[5] * i10.inverse()
+    sq = i2 * i2
+    return sq * sq * i2 / i10
 
 
 def _roots(f: List[int], h: List[int], p: int) -> Optional[List[Fp2]]:

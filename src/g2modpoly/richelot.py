@@ -73,13 +73,6 @@ class QuadraticTriple:
                 raise ValueError("triple quadratics must be monic")
         object.__setattr__(self, "quads", quads)
 
-    def product_coeffs(self) -> Tuple[mpc, ...]:
-        with mp.workprec(self.prec + WORK_GUARD):
-            acc = [mpc(1)]
-            for q in self.quads:
-                acc = poly_mul(acc, q)
-            return tuple(acc)
-
 
 @dataclass(frozen=True)
 class RichelotStep:
@@ -306,8 +299,8 @@ def image_sextic(quads: Sequence[Sequence]) -> list:
     return poly_mul(poly_mul(bracket(a, b), bracket(a, c)), bracket(b, c))
 
 
-def richelot_image(triple: QuadraticTriple, prec: Optional[int] = None) -> RichelotStep:
-    """Apply one (2,2)-isogeny step to a factorization triple.
+def richelot_image(triple: QuadraticTriple) -> RichelotStep:
+    """Apply one (2,2)-isogeny step to a factorization triple, at its precision.
 
     Returns a split marker when delta vanishes to tolerance (relative to
     the coefficient scale of the triple). Otherwise the image sextic
@@ -316,7 +309,7 @@ def richelot_image(triple: QuadraticTriple, prec: Optional[int] = None) -> Riche
     integer Moebius substitution x -> t + 1/x, which changes neither the
     isomorphism class nor the invariants.
     """
-    p = prec if prec is not None else triple.prec
+    p = triple.prec
     with mp.workprec(p + WORK_GUARD):
         delta = richelot_delta(triple.quads)
         if negligible(delta, p, [c for q in triple.quads for c in q], 3):
@@ -391,7 +384,7 @@ def all_isogenous_invariants(curve: Genus2Curve, prec: int,
     invariant = invariant or absolute_igusa
     records: List[IsogenyRecord] = []
     for k, triple in enumerate(enumerate_factorizations(curve, prec)):
-        step = richelot_image(triple, prec)
+        step = richelot_image(triple)
         value = None if step.is_split else invariant(step.image)
         records.append(IsogenyRecord(k, triple, step.delta, value))
     return tuple(records)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpc, mpf
 
@@ -83,28 +83,16 @@ def _min_eigen_sym2(a: mpf, b: mpf, c: mpf) -> mpf:
     return half_tr - mp.sqrt(rad)
 
 
-def is_in_H2(tau: Union[SiegelPoint, Sequence[Sequence[complex]]],
-             prec: Optional[int] = None) -> bool:
-    """Symmetric to tolerance with positive definite imaginary part.
+def is_in_H2(tau: SiegelPoint) -> bool:
+    """Whether Im(tau) is positive definite at the point's precision.
 
-    For a raw 2x2 matrix the off-diagonal entries must agree within the
-    tolerance 2**(-prec/2); positive definiteness asks the smaller
-    eigenvalue of Im(tau) to exceed that tolerance.
+    The smaller eigenvalue of Im(tau) must exceed the tolerance
+    2**(-prec/2). A point is symmetric by construction, since tau_12 is
+    stored once.
     """
-    if isinstance(tau, SiegelPoint):
-        p = prec if prec is not None else tau.prec
-        m = tau.matrix
-    else:
-        p = prec if prec is not None else DEFAULT_PREC
-        m = tuple(tuple(to_mpc(x, p + WORK_GUARD) for x in row) for row in tau)
-        if len(m) != 2 or any(len(r) != 2 for r in m):
-            raise ValueError("expected a 2x2 matrix")
-    tol = tolerance(p)
-    with mp.workprec(p + WORK_GUARD):
-        if abs(m[0][1] - m[1][0]) > tol:
-            return False
-        lam = _min_eigen_sym2(m[0][0].imag, (m[0][1].imag + m[1][0].imag) / 2, m[1][1].imag)
-        return lam > tol
+    with mp.workprec(tau.prec + WORK_GUARD):
+        lam = _min_eigen_sym2(tau.tau1.imag, tau.tau2.imag, tau.tau3.imag)
+        return lam > tolerance(tau.prec)
 
 
 def symplectic_act(m: SymplecticMatrix, tau: SiegelPoint) -> SiegelPoint:

@@ -393,10 +393,10 @@ def _random_gl(rng: random.Random) -> Mat2:
     return ((-1, 0), (0, 1))
 
 
-def random_symplectic(rng: random.Random, nsteps: int = 10) -> SymplecticMatrix:
-    """A pseudorandom symplectic matrix as a short word in generators."""
+def random_symplectic(rng: random.Random) -> SymplecticMatrix:
+    """A pseudorandom symplectic matrix as a word of ten generators."""
     m = IDENTITY
-    for _ in range(nsteps):
+    for _ in range(10):
         choice = rng.randrange(3)
         if choice == 0:
             g = _translation(_random_sym(rng))
@@ -408,10 +408,10 @@ def random_symplectic(rng: random.Random, nsteps: int = 10) -> SymplecticMatrix:
     return m
 
 
-def random_gamma0(rng: random.Random, p: int, nsteps: int = 10) -> SymplecticMatrix:
-    """A pseudorandom member of the level-p subgroup (word in generators)."""
+def random_gamma0(rng: random.Random, p: int) -> SymplecticMatrix:
+    """A pseudorandom member of the level-p subgroup (a word of ten generators)."""
     m = IDENTITY
-    for _ in range(nsteps):
+    for _ in range(10):
         choice = rng.randrange(3)
         if choice == 0:
             g = _translation(_random_sym(rng))

@@ -27,7 +27,7 @@ from functools import lru_cache
 from mpmath import mp, mpf
 
 from g2modpoly import g2curve, modpoly, qseries, richelot, siegel, sp4
-from g2modpoly.exactnum import mpf_to_fraction, to_mpc, tolerance
+from g2modpoly.exactnum import mpf_to_fraction, poly_mul, to_mpc, tolerance
 
 GENERIC = (-2, 3, 1, -1, 0, 2, 1)
 BIELLIPTIC = (-36, 0, 49, 0, -14, 0, 1)
@@ -195,7 +195,8 @@ def test_criterion_05_fifteen_factorizations(capsys):
         scale = max(abs(v) for v in ref)
         with mp.workprec(prec + 64):
             for t in triples:
-                prod = t.product_coeffs()
+                qa, qb, qc = t.quads
+                prod = poly_mul(poly_mul(qa, qb), qc)
                 err = max(abs(a - b) for a, b in zip(prod, ref)) / scale
                 worst = max(worst, err)
                 if err > tol:
@@ -364,8 +365,8 @@ def test_criterion_09_richelot_involution(capsys):
     worst = mpf(0)
     for c in _random_curves():
         triples = richelot.enumerate_factorizations(c, work)
-        step = richelot.richelot_image(triples[0], work)
-        back = richelot.richelot_image(richelot.dual_triple(step), work)
+        step = richelot.richelot_image(triples[0])
+        back = richelot.richelot_image(richelot.dual_triple(step))
         src = [to_mpc(v, work + 64) for v in g2curve.absolute_igusa(c).as_tuple()]
         img = [to_mpc(v, work + 64)
                for v in g2curve.absolute_igusa(back.image).as_tuple()]

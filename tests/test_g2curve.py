@@ -240,8 +240,8 @@ DEFECT_CURVES = [(1, 0, -3, 2, -1, -2, 1), (1, -1, 2, 2, 2, -2, 1), (0, -2, 0, -
 MODEL_MOVE = tuple(coeffs_from_roots([F(r) for r in (0, 1, 2, 3, 5, 6)]))
 
 
-def _images(coeffs, prec, image_prec=None):
-    return [richelot_image(triple, image_prec or prec).image
+def _images(coeffs, prec):
+    return [richelot_image(triple).image
             for triple in enumerate_factorizations(curve(*coeffs), prec)]
 
 
@@ -253,9 +253,9 @@ def test_resultant_of_the_fifteen_images_is_bit_identical_to_full_row_eliminatio
     curves = [GENERIC, MODEL_MOVE] + (DEFECT_CURVES if prec == 300 else [])
     images = [image for coeffs in curves for image in _images(coeffs, prec)]
     # coefficients with more bits than the elimination works at: nothing is skipped
-    images += _images(GENERIC, prec, prec + 40)
+    images += _images(GENERIC, prec + 40)
     for image in images:
-        got = _resultant_f_fprime(image.coeffs, False, prec)
+        got = _resultant_f_fprime(image.coeffs, prec)
         want = _full_row_resultant(image.coeffs, prec)
         assert (got.real._mpf_, got.imag._mpf_) == (want.real._mpf_, want.imag._mpf_)
 
@@ -278,7 +278,7 @@ def test_elimination_takes_no_square_root(prec, monkeypatch):
         assert abs(mpc(3, 4)) == 5 and calls     # the spies see mpmath's abs
     calls.clear()
     for image in images:
-        _resultant_f_fprime(image.coeffs, False, prec)
+        _resultant_f_fprime(image.coeffs, prec)
     assert calls == []
 
 

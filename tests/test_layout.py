@@ -12,6 +12,10 @@ through an attribute, so for a name defined in a class body only attribute
 accesses (``.name``) and dotted strings count: a local variable, an
 argument or a keyword of the same name does not hide a dead method. Dunder
 methods are called by the language and are exempt.
+
+Likewise, a parameter with a default that no call in those directories
+passes is an override only tests use: every such parameter must be passed,
+by position or by keyword, by some call to a function of that name.
 """
 
 import ast
@@ -20,16 +24,12 @@ import re
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "g2modpoly"
 SEARCHED = ("src", "scripts", "perfbench")
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
-
-# Read only by the tests, on purpose: acceptance criterion 5 checks the
-# expanded product of a factorization triple through it.
-ALLOWED = {"product_coeffs"}
 
 
 def _definitions() -> Tuple[Counter, Set[str]]:
@@ -90,10 +90,57 @@ def test_every_definition_is_named_outside_the_tests():
     defined, methods = _definitions()
     unused = sorted(
         name for name, count in defined.items()
-        if name not in ALLOWED
-        and (not reached[name] if name in methods else used[name] <= count)
+        if (not reached[name] if name in methods else used[name] <= count)
     )
     assert not unused, f"defined in src/g2modpoly but named only by tests: {unused}"
+
+
+def _defaulted() -> List[Tuple[str, str, int]]:
+    """(function, parameter, position in a call) for each parameter with a
+    default; the position is None for a keyword-only parameter and does not
+    count ``self`` or ``cls`` of a method."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        bound = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                 for item in node.body if isinstance(item, ast.FunctionDef)
+                 and not any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                shift = 1 if id(node) in bound else 0
+                for i in range(len(positional) - len(args.defaults), len(positional)):
+                    out.append((node.name, positional[i].arg, i - shift))
+                out += [(node.name, arg.arg, None)
+                        for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+    return out
+
+
+def _calls() -> Dict[str, List[Tuple[int, bool, Set[str]]]]:
+    """For each called name: the number of positional arguments, whether
+    a ``*`` or ``**`` argument may pass anything, and the keywords."""
+    calls: Dict[str, List[Tuple[int, bool, Set[str]]]] = {}
+    for top in SEARCHED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    unpacked = (any(isinstance(a, ast.Starred) for a in node.args)
+                                or any(k.arg is None for k in node.keywords))
+                    calls.setdefault(name, []).append(
+                        (len(node.args), unpacked, {k.arg for k in node.keywords}))
+    return calls
+
+
+def test_every_default_is_overridden_outside_the_tests():
+    calls = _calls()
+    never = sorted(
+        f"{name}.{param}" for name, param, position in _defaulted()
+        if not any(unpacked or param in keywords or (position is not None and count > position)
+                   for count, unpacked, keywords in calls.get(name, ()))
+    )
+    assert not never, f"defaults in src/g2modpoly that only tests override: {never}"
 
 
 def test_every_traced_name_is_bound_where_the_benchmark_patches_it(monkeypatch):

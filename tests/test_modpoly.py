@@ -1,13 +1,22 @@
 """Point-evaluated modular relations: P2, companions, split locus, degrees."""
 
 import hashlib
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 from mpmath import mp, mpc, mpf
 
-from g2modpoly.exactnum import ComplexPoly, horner, mpf_to_fraction, poly_mul, to_mpc, tolerance
+from g2modpoly.exactnum import (
+    ComplexPoly,
+    field_det,
+    horner,
+    mpf_to_fraction,
+    poly_mul,
+    to_mpc,
+    tolerance,
+)
 from g2modpoly import g2curve, modp, modpoly
 from g2modpoly.g2curve import Genus2Curve, SingularCurveError, absolute_igusa, transform_model
 from g2modpoly.modpoly import (
@@ -25,7 +34,7 @@ from g2modpoly.modpoly import (
     l2_evaluate,
     l2_poly,
 )
-from g2modpoly.igusa_data import I2_TERMS
+from g2modpoly.igusa_data import I2_TERMS, I4_TERMS, I6_TERMS
 from g2modpoly.richelot import all_isogenous_invariants
 
 F = Fraction
@@ -361,6 +370,32 @@ def test_mod_p_check_refuses_a_p2_outside_f_p(monkeypatch, generic_rationals):
 
     monkeypatch.setattr(modp, "p2_mod_p", off_f_p)
     assert modp.check_mod_p(curve(*GENERIC), generic_rationals) is None
+
+
+@pytest.mark.parametrize("coeffs", [GENERIC, _roots_poly(0, 1, 2, 3, 5, 6)])
+def test_the_exact_evaluation_over_f_p2_is_the_reduction_of_the_one_over_q(coeffs):
+    # at the curve's first usable prime the Igusa-Clebsch values and a
+    # determinant computed over F_{p^2} reduce those computed over Q
+    c = curve(*coeffs)
+    p = next(p for p in modp._candidate_primes()
+             if modp.p2_mod_p([modp._reduce(v, p) for v in c.coeffs], p) is not None)
+
+    def lift(rows):
+        return [[modp.Fp2(modp._reduce(x, p), 0, p) if x else 0 for x in row] for row in rows]
+
+    got = g2curve.exact_clebsch(lift([c.coeffs])[0], (I2_TERMS, I4_TERMS, I6_TERMS),
+                                g2curve._TOP_POWER)
+    want = [modp._reduce(v, p) for v in g2curve.igusa_clebsch(c)]
+    assert [(v.re, v.im) for v in got] == [(w, 0) for w in want]
+
+    rng = random.Random(7)
+    rows = [[F(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.7 else 0
+             for _ in range(7)] for _ in range(7)]
+    rows[0][0] = 0      # the first column needs a row swap
+    det = field_det(rows)
+    assert det != 0
+    got = field_det(lift(rows))
+    assert (got.re, got.im) == (modp._reduce(det, p), 0)
 
 
 def _spy_builds(monkeypatch, build):

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 
-from g2modpoly.exactnum import WORK_GUARD, PrecisionError, det_fraction, to_mpc, tolerance
+from g2modpoly.exactnum import WORK_GUARD, PrecisionError, field_det, poly_mul, to_mpc, tolerance
 from g2modpoly.g2curve import Genus2Curve, absolute_igusa
 from g2modpoly.richelot import (
     QuadraticTriple,
@@ -148,7 +148,8 @@ def test_factorizations_multiply_back_to_the_model():
     tol = tolerance(PREC)
     with mp.workprec(PREC + 64):
         for tri in triples:
-            prod = tri.product_coeffs()
+            qa, qb, qc = tri.quads
+            prod = poly_mul(poly_mul(qa, qb), qc)
             assert len(prod) == 7
             for got, want in zip(prod, c.coeffs):
                 w = to_mpc(want, PREC + 64)
@@ -213,7 +214,7 @@ def test_delta_matches_exact_coefficient_determinant():
     for _ in range(20):
         quads = [(F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(-9, 9)), F(1))
                  for _ in range(3)]
-        assert richelot_delta(quads) == det_fraction(quads)
+        assert richelot_delta(quads) == field_det(quads)
 
 
 def test_delta_vanishes_for_fully_even_triple():

@@ -41,21 +41,17 @@ def test_scaled_identity_is_in_the_half_space():
 
 
 def test_indefinite_imaginary_part_is_rejected():
-    assert not is_in_H2(((1j, 0), (0, -1j)))
+    assert not is_in_H2(_point(1j, 0, -1j))
 
 
 def test_small_off_diagonal_keeps_membership():
-    assert is_in_H2(((1j, 0.1), (0.1, 2j)))
+    assert is_in_H2(_point(1j, 0.1, 2j))
 
 
-def test_asymmetric_matrix_is_rejected():
-    assert not is_in_H2(((1j, 0.1), (0.2, 2j)))
-
-
-def test_membership_accepts_raw_matrix_and_point():
-    tau = _point(2j, mpc(0.25, 0.125), 3j)
-    assert is_in_H2(tau)
-    assert is_in_H2(((2j, 0.25 + 0.125j), (0.25 + 0.125j, 3j)))
+def test_membership_reads_the_off_diagonal_imaginary_part():
+    assert is_in_H2(_point(2j, mpc(0.25, 0.125), 3j))
+    # Im(tau) = ((1, 2), (2, 1)) has eigenvalues 3 and -1
+    assert not is_in_H2(_point(1j, 2j, 1j))
 
 
 def test_random_points_are_members():
