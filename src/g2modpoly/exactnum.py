@@ -39,6 +39,8 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import fzero, mpc_abs, mpf_add, mpf_cmp, mpf_mul, mpf_shift, mpf_sub, round_nearest
 
 Scalar = Union[Fraction, int, mpc, mpf]
+# what the tolerance tests take: a Fraction does not compare with an mpf
+MpScalar = Union[int, mpc, mpf]
 
 # Default working precision in bits for every module and the CLI.
 DEFAULT_PREC = 300
@@ -87,9 +89,15 @@ def tolerance(prec: int) -> mpf:
         return mpf(2) ** (mpf(-prec) / 2)
 
 
-def magnitude(values: Iterable[Scalar]) -> mpf:
-    """``max(1, |v| for v in values)``: the scale a tolerance is relative to."""
-    return max([mpf(1)] + [abs(v) for v in values])
+def magnitude(values: Iterable[MpScalar]) -> mpf:
+    """``max(1, |v| for v in values)``: the scale a tolerance is relative to.
+
+    NaN when some |v| is NaN, so that a comparison against it is False
+    (``max`` alone would keep whichever of 1 and NaN came first).
+    """
+    sizes = [abs(v) for v in values]
+    nans = [size for size in sizes if size != size]
+    return nans[0] if nans else max([mpf(1)] + sizes)
 
 
 #: binades by which the exponent brackets of ``negligible``'s two sides
@@ -97,7 +105,7 @@ def magnitude(values: Iterable[Scalar]) -> mpf:
 _EXPONENT_MARGIN = 2
 
 
-def _binade(v: Scalar) -> Optional[int]:
+def _binade(v: MpScalar) -> Optional[int]:
     """The largest exponent plus bit count over the parts of an mpf or mpc.
 
     For a finite nonzero v this e gives 2**(e-1) <= |v| < 2**(e+1/2): the
@@ -120,7 +128,7 @@ def _binade(v: Scalar) -> Optional[int]:
     return top
 
 
-def negligible(x: Scalar, prec: int, scale: Iterable[Scalar] = (), power: int = 1) -> bool:
+def negligible(x: MpScalar, prec: int, scale: Iterable[MpScalar] = (), power: int = 1) -> bool:
     """Whether ``|x| <= tolerance(prec) * magnitude(scale)**power``.
 
     Evaluated at the caller's ambient precision, with the threshold grouped
@@ -192,7 +200,7 @@ def first_largest_modulus(zs: Sequence[tuple], prec: int) -> int:
     return best
 
 
-def relative_deviation(a: Scalar, b: Scalar) -> mpf:
+def relative_deviation(a: MpScalar, b: MpScalar) -> mpf:
     """``|a - b| / max(1, |a|)`` at the ambient precision."""
     return abs(a - b) / magnitude((a,))
 
@@ -542,9 +550,10 @@ def field_det(rows: Sequence[Sequence]):
     """Determinant of a square matrix over a field, by Gaussian elimination.
 
     Entries are Fractions or ``modp.Fp2`` values, with int zeros allowed:
-    they stay ints, so no other field's arithmetic mixes in (a nonzero int
-    pivot would be inverted as a float). Each column takes one
-    ``1 / pivot``, and the updates skip the zero entries of the pivot row.
+    they stay ints, so no other field's arithmetic mixes in. A nonzero int
+    pivot raises TypeError, since ``1 / pivot`` would be a float. Each
+    column takes one ``1 / pivot``, and the updates skip the zero entries
+    of the pivot row.
     Any exact elimination gives the same field element, so the result does
     not depend on the pivot order.
     """
@@ -559,6 +568,8 @@ def field_det(rows: Sequence[Sequence]):
             a[k], a[piv] = a[piv], a[k]
             det = -det
         pivot = a[k]
+        if isinstance(pivot[k], int):
+            raise TypeError("field_det needs Fraction or Fp2 entries; an int is allowed only as 0")
         det = det * pivot[k]
         inv = 1 / pivot[k]
         cols = [j for j in range(k + 1, n) if pivot[j]]

@@ -25,6 +25,7 @@ how ``dual_triple`` is meant to be used.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -47,8 +48,12 @@ from .g2curve import Genus2Curve, IgusaTriple, absolute_igusa
 
 Quadratic = Tuple[mpc, mpc, mpc]  # (c0, c1, c2), constant first
 
-# Bits of the first polyroots seed that complex_roots lifts by Newton steps.
+# Bits of the first seed that complex_roots lifts by Newton steps.
 _SEED_BITS = 100
+
+# Aberth sweeps after which a double-precision seed that has not settled is
+# refused (a generic sextic settles in about a dozen).
+_ABERTH_SWEEPS = 100
 
 #: the integers t tried, in this order, for the model move x -> t + 1/x
 #: that gives a degenerate image sextic its degree back
@@ -131,14 +136,17 @@ def complex_roots(curve: Genus2Curve, prec: int) -> Tuple[mpc, ...]:
     """The six roots at precision ``prec``, certified and deterministically sorted.
 
     The roots are those of f with coefficients rounded to ``work = prec +
-    WORK_GUARD`` bits, found in three steps (``_lifted_roots``): seed with
-    ``polyroots`` at about 100 bits; lift each seed by Newton steps that
-    double the precision up to ``work + WORK_GUARD`` bits; round with
-    ``polyroots``' own clean-up to ``work`` bits. Seeds that are not
-    separated, or that Newton does not contract, are redone at twice the
-    precision, up to one full ``polyroots`` call at ``work`` bits. The
-    roots equal that call's bit for bit unless a component lies within
-    about 2**-64 of a rounding tie.
+    WORK_GUARD`` bits, found by ``_lifted_roots``: a seed good to about
+    100 bits is lifted by Newton steps that double the precision up to
+    ``work + WORK_GUARD`` bits, then rounded with ``polyroots``' own
+    clean-up to ``work`` bits. The first seed comes from double precision
+    (``_double_seeds``). When it is refused (coefficients beyond double
+    range, no convergence, a cluster) or its lift is (seeds or lifted roots
+    not separated, a lift that Newton does not contract), the seeds come
+    from ``polyroots`` at 100 bits, then at twice that, up to one full
+    ``polyroots`` call at ``work`` bits. Whichever seed is lifted, the
+    roots equal that full call's bit for bit unless a component lies
+    within about 2**-64 of a rounding tie.
 
     The certificate does not depend on how the roots were found. Residuals
     are checked against 2**(-prec/2) relative to the coefficient and root
@@ -170,17 +178,20 @@ def _separated(roots: Sequence[mpc], prec: int) -> bool:
 def _lifted_roots(coeffs: Sequence[mpc], prec: int) -> List[mpc]:
     """The roots ``polyroots`` finds at ``work = prec + WORK_GUARD`` bits, found cheaply.
 
-    A seed from ``polyroots`` at ``bits`` is lifted when its roots are
-    separated at ``bits`` (``complex_roots``' test at that precision), and
-    the lift is kept when every root passes ``_newton_lift``'s check and
-    the lifted roots are still separated (no two seeds found the same
-    root). Otherwise ``bits`` doubles; at ``work`` the seed is the
-    full-precision call, returned as it is.
+    The first seed, when ``_SEED_BITS < work``, is ``_double_seeds``' at
+    ``_SEED_BITS``. If it is refused or its lift is (``_lift``), seeds come
+    from ``polyroots`` at ``bits = _SEED_BITS``, and ``bits`` doubles
+    until a lift is kept; at ``work`` the seed is the full-precision call,
+    returned as it is.
     """
     work = prec + WORK_GUARD
     top = work + WORK_GUARD
     with mp.workprec(top):
         deriv = [k * c for k, c in enumerate(coeffs)][1:]
+    if _SEED_BITS < work:
+        lifted = _lift(coeffs, deriv, _double_seeds(coeffs, deriv), _SEED_BITS, work)
+        if lifted is not None:
+            return lifted
     bits = _SEED_BITS
     while True:
         bits = min(bits, work)
@@ -194,11 +205,77 @@ def _lifted_roots(coeffs: Sequence[mpc], prec: int) -> List[mpc]:
                 seeds = None
             if bits == work:
                 return seeds
-            if seeds is not None and _separated(seeds, bits):
-                lifted = [_newton_lift(coeffs, deriv, r, bits, work) for r in seeds]
-                if None not in lifted and _separated(lifted, bits):
-                    return lifted
+        lifted = _lift(coeffs, deriv, seeds, bits, work)
+        if lifted is not None:
+            return lifted
         bits *= 2
+
+
+def _lift(coeffs: Sequence[mpc], deriv: Sequence[mpc], seeds: Optional[Sequence[mpc]],
+          bits: int, work: int) -> Optional[List[mpc]]:
+    """``_newton_lift`` of every seed, or None when the seeds are missing or
+    not separated at ``bits`` (``complex_roots``' test at that precision),
+    when a lift is refused, or when the lifted roots are not separated (two
+    seeds found the same root)."""
+    with mp.workprec(bits):
+        if seeds is None or not _separated(seeds, bits):
+            return None
+        lifted = [_newton_lift(coeffs, deriv, r, bits, work) for r in seeds]
+        if None in lifted or not _separated(lifted, bits):
+            return None
+        return lifted
+
+
+def _double_seeds(coeffs: Sequence[mpc], deriv: Sequence[mpc]) -> Optional[List[mpc]]:
+    """The six roots good to about ``_SEED_BITS`` bits, seeded in double precision.
+
+    An Aberth iteration in Python ``complex`` starts from six points on
+    the circle of radius 1 + max |c_k| (the Cauchy bound) and runs until
+    a sweep moves no root by more than 2**-40 relative, when the roots
+    are good to about a double's 53 bits. Two Newton steps at 128 bits
+    then carry them past ``_SEED_BITS``. None, so that ``polyroots``
+    seeds instead, when a coefficient does not fit a double, when Aberth
+    has not settled after ``_ABERTH_SWEEPS`` sweeps or meets a zero
+    divisor, or when the second Newton step still moves a root by 2**-64
+    relative or more (a cluster of roots, which Newton approaches only
+    linearly).
+    """
+    ca = [complex(c) for c in coeffs]
+    da = [complex(c) for c in deriv]
+    if not all(map(cmath.isfinite, ca + da)):
+        return None
+    radius = 1 + max(abs(c) for c in ca[:6])
+    z = [radius * cmath.exp(complex(0, 2.1 * k + 0.4)) for k in range(6)]
+    try:
+        for _ in range(_ABERTH_SWEEPS):
+            settled = True
+            for i, x in enumerate(z):
+                ratio = horner(ca, x) / horner(da, x)
+                w = ratio / (1 - ratio * sum(1 / (x - y) for j, y in enumerate(z) if j != i))
+                if not cmath.isfinite(w):
+                    return None
+                z[i] = x - w
+                settled = settled and abs(w) <= 2 ** -40 * abs(z[i])
+            if settled:
+                break
+        else:
+            return None
+    except ZeroDivisionError:
+        return None
+    seeds = []
+    with mp.workprec(128):
+        for x in z:
+            r = mpc(x)
+            for _ in range(2):
+                slope = horner(deriv, r)
+                if slope == 0:
+                    return None
+                step = horner(coeffs, r) / slope
+                r -= step
+            if step != 0 and abs(step) >= abs(r) * mpf(2) ** -64:
+                return None
+            seeds.append(r)
+    return seeds
 
 
 def _newton_lift(coeffs: Sequence[mpc], deriv: Sequence[mpc], root: Scalar,
@@ -209,8 +286,12 @@ def _newton_lift(coeffs: Sequence[mpc], deriv: Sequence[mpc], root: Scalar,
     it must move the root by less than 2**-work relative, or the lift is
     refused with None. Then ``polyroots``' clean-up zeroes a modulus, an
     imaginary or a real part below 2**(1-work), and the root is rounded to
-    ``work`` bits.
+    ``work`` bits. ``bits`` must exceed 64, the fixed point of the step
+    schedule p -> p//2 + 32: from 64 bits or fewer the schedule would
+    never reach ``bits``, so such a claim raises ValueError.
     """
+    if bits <= 64:
+        raise ValueError(f"a seed claimed at {bits} <= 64 bits never ends the lift schedule")
     top = work + WORK_GUARD
     steps = [top, top]
     while steps[-1] > bits:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
@@ -118,8 +118,16 @@ def test_negligible_rounds_at_the_ambient_precision():
 
 
 def _written_negligible(x, prec, scale, power):
-    """The tolerance test as written, with no shortcut: the oracle of ``negligible``."""
-    return abs(x) <= tolerance(prec) * max([mpf(1)] + [abs(v) for v in scale]) ** power
+    """The tolerance test as written, with no shortcut: the oracle of ``negligible``.
+
+    A NaN |v| makes the threshold NaN, whatever the other entries are, so
+    the comparison is False; otherwise a Fraction entry is refused with
+    TypeError, as an mpf and a Fraction do not compare.
+    """
+    sizes = [abs(v) for v in scale]
+    if any(mp.isnan(size) for size in sizes if not isinstance(size, Fraction)):
+        return abs(x) <= mpf("nan")
+    return abs(x) <= tolerance(prec) * max([mpf(1)] + sizes) ** power
 
 
 def _outcome(test, *args):
@@ -163,6 +171,12 @@ def _scale_entry(spec):
        scale=st.lists(SCALE_ENTRIES, max_size=3),
        angle=st.floats(0, 6.3),
        shift=st.integers(-4, 4))
+# a NaN entry makes every verdict False, before or after a Fraction, which
+# alone is refused; 1e-100 is negligible at 300 bits against any finite scale
+@example(ambient=53, prec=300, power=1, scale=[("nan",)], angle=0.0, shift=0)
+@example(ambient=2464, prec=300, power=10, scale=[("fraction",), ("nan",)], angle=0.0, shift=0)
+@example(ambient=2464, prec=300, power=1, scale=[("one",), ("nan",), ("fraction",)], angle=0.0, shift=0)
+@example(ambient=53, prec=300, power=3, scale=[("fraction",)], angle=0.0, shift=0)
 def test_negligible_matches_the_written_formula(ambient, prec, power, scale, angle, shift):
     # x runs over the threshold and the powers of two next to it, each
     # within 2 ulps, as a real, a negative, an imaginary and a complex
@@ -170,7 +184,7 @@ def test_negligible_matches_the_written_formula(ambient, prec, power, scale, ang
     with mp.workprec(ambient):
         entries = [_scale_entry(spec) for spec in scale]
         xs = [mpf(0), mpc(0), mpf("inf"), -mpf("inf"), mpf("nan"), mpc(0, "inf"),
-              0, Fraction(1, 2**400)]
+              0, Fraction(1, 2**400), mpf(1e-100)]
         try:
             threshold = tolerance(prec) * max([mpf(1)] + [abs(v) for v in entries]) ** power
         except TypeError:
@@ -186,6 +200,8 @@ def test_negligible_matches_the_written_formula(ambient, prec, power, scale, ang
         for x in xs:
             want = _outcome(_written_negligible, x, prec, entries, power)
             assert _outcome(negligible, x, prec, entries, power) == want, (x, entries)
+        if any(spec == ("nan",) for spec in scale):
+            assert negligible(mpf(1e-100), prec, entries, power) is False
 
 
 @pytest.mark.parametrize("scale, power", [((), 1), ((mpf(1),), 10), ((mpc(1, 1),), 3)])
@@ -410,6 +426,17 @@ def test_bareiss_det_matches_fraction_elimination(rows):
 def test_field_det_hilbert_3x3():
     h = [[Fraction(1, i + j + 1) for j in range(3)] for i in range(3)]
     assert field_det(h) == Fraction(1, 2160)
+
+
+def test_field_det_refuses_a_nonzero_int_pivot():
+    # 1 / pivot would turn the determinant into a float
+    with pytest.raises(TypeError):
+        field_det([[1, 2], [3, 4]])
+    with pytest.raises(TypeError):
+        field_det([[Fraction(1), 0], [0, 4]])   # the int 4 reaches the pivot
+    # int zeros and nonzero ints off the pivots stay exact
+    assert field_det([[0, Fraction(2)], [Fraction(3), 4]]) == -6
+    assert field_det([[Fraction(1), 2], [3, 4]]) == Fraction(-2)
 
 
 # ---------------------------------------------------------------------------

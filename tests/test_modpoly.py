@@ -372,6 +372,19 @@ def test_mod_p_check_refuses_a_p2_outside_f_p(monkeypatch, generic_rationals):
     assert modp.check_mod_p(curve(*GENERIC), generic_rationals) is None
 
 
+def test_fp2_elements_compare_by_value():
+    p = 7
+    assert modp.Fp2(1, 0, p) == modp.Fp2(1, 0, p)
+    assert modp.Fp2(3, 0, p) == 3 and 3 == modp.Fp2(3, 0, p)
+    assert modp.Fp2(0, 0, p) == 0
+    assert modp.Fp2(10, -7, p) == modp.Fp2(3, 0, p) == 10      # parts and ints mod p
+    assert modp.Fp2(3, 1, p) != 3
+    assert modp.Fp2(1, 0, p) != modp.Fp2(1, 0, 11)
+    assert modp.Fp2(1, 0, p) != Fraction(1)                     # only ints embed
+    with pytest.raises(TypeError):
+        hash(modp.Fp2(1, 0, p))
+
+
 @pytest.mark.parametrize("coeffs", [GENERIC, _roots_poly(0, 1, 2, 3, 5, 6)])
 def test_the_exact_evaluation_over_f_p2_is_the_reduction_of_the_one_over_q(coeffs):
     # at the curve's first usable prime the Igusa-Clebsch values and a

@@ -1,13 +1,18 @@
 """(2,2)-isogeny engine: factorizations, brackets, images, duality."""
 
+import importlib.util
 import random
+import signal
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 
 from g2modpoly.exactnum import WORK_GUARD, PrecisionError, field_det, poly_mul, to_mpc, tolerance
+from g2modpoly import richelot
 from g2modpoly.g2curve import Genus2Curve, absolute_igusa
 from g2modpoly.richelot import (
     QuadraticTriple,
@@ -94,6 +99,19 @@ def _bits(roots):
     return [(r.real._mpf_, r.imag._mpf_) for r in roots]
 
 
+def _polyroots_spy(monkeypatch):
+    """Record the precision of every ``polyroots`` call from now on."""
+    seed_bits = []
+    polyroots = mp.polyroots
+
+    def recording(*args, **kwargs):
+        seed_bits.append(mp.prec)
+        return polyroots(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "polyroots", recording)
+    return seed_bits
+
+
 BIT_IDENTITY_CURVES = (
     GENERIC,
     SPLIT_WITNESS,
@@ -115,30 +133,109 @@ def test_lifted_roots_equal_polyroots_bit_for_bit(prec):
 
 
 def test_close_roots_are_reseeded_and_match_polyroots(monkeypatch):
-    # 2^-80 apart: the 100-bit seed cannot separate the pair, the 200-bit
-    # seed can and is lifted
+    # 2^-80 apart: neither the double seed nor the 100-bit polyroots seed
+    # separates the pair at 100 bits, the 200-bit seed can and is lifted
     coeffs = coeffs_from_roots((F(0), F(1, 2**80), F(1), F(2), F(3), F(4)))
     c = Genus2Curve(tuple(F(x) for x in coeffs))
     want = _bits(_polyroots_roots(c, PREC))
-    seed_bits = []
-    polyroots = mp.polyroots
-
-    def recording(*args, **kwargs):
-        seed_bits.append(mp.prec)
-        return polyroots(*args, **kwargs)
-
-    monkeypatch.setattr(mp, "polyroots", recording)
+    seed_bits = _polyroots_spy(monkeypatch)
     assert _bits(complex_roots(c, PREC)) == want
+    assert seed_bits[0] == richelot._SEED_BITS
     assert len(seed_bits) > 1 and seed_bits[-1] < PREC + WORK_GUARD
 
 
 def test_seed_non_convergence_raises_precision_error(monkeypatch):
+    # the double-precision seed is refused too, so that every seed, the
+    # full-precision call included, comes from polyroots
     def stuck(*args, **kwargs):
         raise mpmath.libmp.NoConvergence("no convergence")
 
     monkeypatch.setattr(mp, "polyroots", stuck)
+    monkeypatch.setattr(richelot, "_double_seeds", lambda coeffs, deriv: None)
     with pytest.raises(PrecisionError):
         complex_roots(curve(*GENERIC), PREC)
+
+
+def _ladder_roots(c, prec, monkeypatch):
+    """The roots with the double-precision seed refused: the polyroots
+    ladder alone, as the roots were found before that seed existed."""
+    with monkeypatch.context() as patched:
+        patched.setattr(richelot, "_double_seeds", lambda coeffs, deriv: None)
+        return _bits(complex_roots(c, prec))
+
+
+def _pool_curves(count):
+    """The first ``count`` curves of the benchmark's seed-601 pool."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads     # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return workloads.random_curves(601, count)
+
+
+@pytest.mark.parametrize("prec", [300, 301, 2400, 4800])
+def test_double_seed_gives_the_ladder_roots_bit_for_bit(prec, monkeypatch):
+    # every one of these curves takes the double seed: no polyroots call
+    curves = [curve(*coeffs) for coeffs in BIT_IDENTITY_CURVES]
+    if prec in (300, 2400):
+        curves += _pool_curves(60)
+    for c in curves:
+        want = _ladder_roots(c, prec, monkeypatch)
+        with monkeypatch.context() as patched:
+            seed_bits = _polyroots_spy(patched)
+            assert _bits(complex_roots(c, prec)) == want, c.coeffs
+        assert seed_bits == [], c.coeffs
+
+
+@pytest.mark.parametrize("prec", [300, 2400])
+def test_generic_curve_calls_no_polyroots(prec, monkeypatch):
+    seed_bits = _polyroots_spy(monkeypatch)
+    complex_roots(curve(*GENERIC), prec)
+    assert seed_bits == []
+
+
+def test_coefficient_beyond_double_range_takes_the_polyroots_ladder(monkeypatch):
+    # complex(10**400) is inf: the double seed is refused before Aberth runs
+    c = curve(-(10**400), 0, 0, 0, 0, 0, 1)
+    want = _bits(_polyroots_roots(c, 600))
+    seed_bits = _polyroots_spy(monkeypatch)
+    assert _bits(complex_roots(c, 600)) == want
+    assert seed_bits[0] == richelot._SEED_BITS
+
+
+@pytest.mark.parametrize("bits", [1, 40, 64])
+def test_newton_lift_refuses_a_claim_at_the_schedule_fixed_point(bits):
+    # p -> p//2 + 32 stops at 64: the claim is refused before the schedule
+    # is built; should that guard go, the alarm ends the endless schedule
+    # loop within a second instead of hanging the suite
+    coeffs = [to_mpc(F(c), 364) for c in GENERIC]
+    deriv = [k * c for k, c in enumerate(coeffs)][1:]
+
+    def endless(signum, frame):
+        raise TimeoutError("the Newton-lift schedule did not end")
+
+    previous = signal.signal(signal.SIGALRM, endless)
+    signal.alarm(1)
+    try:
+        with pytest.raises(ValueError):
+            richelot._newton_lift(coeffs, deriv, mpc(1), bits, 364)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_double_seeds_are_good_to_the_claimed_bits():
+    # each seed lies within 2^-100 relative of a certified root
+    c = curve(*GENERIC)
+    roots = complex_roots(c, PREC)
+    with mp.workprec(PREC + WORK_GUARD):
+        coeffs = [to_mpc(x, PREC + WORK_GUARD) for x in c.coeffs]
+        deriv = [k * x for k, x in enumerate(coeffs)][1:]
+        seeds = richelot._double_seeds(coeffs, deriv)
+        assert len(seeds) == 6
+        for s in seeds:
+            assert min(abs(s - r) / abs(r) for r in roots) < mpf(2) ** -richelot._SEED_BITS
 
 
 def test_factorizations_multiply_back_to_the_model():
