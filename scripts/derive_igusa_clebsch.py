@@ -26,10 +26,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+from g2modpoly.g2curve import exact_clebsch  # noqa: E402
 from oracles import igusa_clebsch_from_roots, coeffs_from_roots  # noqa: E402
 
+SEED = 20260825
 PRIMES = (2305843009213693951, 2305843009213693669)  # two 61-bit primes
 WEIGHTS = {"I2": 6, "I4": 12, "I6": 18}
 VAR_WEIGHTS = (6, 5, 4, 3, 2, 1)  # weight of c0..c5
@@ -146,48 +149,13 @@ def derive(name: str, weight: int, rng: random.Random):
     return lifted
 
 
-def formula_eval(terms, cs):
-    total = 0
-    for mono, coeff in terms.items():
-        acc = coeff
-        for e, c in zip(mono, cs):
-            if e:
-                acc *= c**e
-        total += acc
-    return total
-
-
-def sylvester_resultant(f_desc, g_desc):
-    """Resultant of two polynomials given by descending coefficient lists."""
-    m = len(f_desc) - 1
-    n = len(g_desc) - 1
-    size = m + n
-    rows = []
-    for i in range(n):
-        rows.append([Fraction(0)] * i + list(f_desc) + [Fraction(0)] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + list(g_desc) + [Fraction(0)] * (size - n - 1 - i))
-    # fraction determinant by elimination
-    det = Fraction(1)
-    a = [row[:] for row in rows]
-    for k in range(size):
-        piv = next((i for i in range(k, size) if a[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = a[k][k]
-        for i in range(k + 1, size):
-            if a[i][k] != 0:
-                f = a[i][k] / inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return det
-
-
 def verify(terms_by_name, rng: random.Random):
+    """Check the tables, through the package's exact evaluation, against the
+    root-difference definitions; I10 = disc = -Res(f, f') comes from its
+    Sylvester matrix."""
     print("verifying formulas against root-difference definitions...")
+    tables = [terms_by_name[name] for name in WEIGHTS]
+    top = max(e for terms in tables for mono in terms for e in mono)
     for trial in range(30):
         if trial < 22:
             roots = [Fraction(r) for r in sample_curve(rng)]
@@ -196,23 +164,22 @@ def verify(terms_by_name, rng: random.Random):
             while len(set(roots)) != 6:
                 roots = [Fraction(rng.randrange(-30, 31), rng.randrange(1, 7)) for _ in range(6)]
         cs = coeffs_from_roots(roots)[:6]
-        i2, i4, i6, i10 = igusa_clebsch_from_roots(roots)
-        assert formula_eval(terms_by_name["I2"], cs) == i2, roots
-        assert formula_eval(terms_by_name["I4"], cs) == i4, roots
-        assert formula_eval(terms_by_name["I6"], cs) == i6, roots
-        # I10 = disc = -Res(f, f') for a monic sextic
-        f_desc = [Fraction(1)] + list(reversed(cs))
-        fp_desc = [Fraction(6 - i) * f_desc[i] for i in range(6)]
-        assert -sylvester_resultant(f_desc, fp_desc) == i10, roots
+        assert exact_clebsch(cs + [Fraction(1)], tables, top) == igusa_clebsch_from_roots(roots), roots
     print("verification passed (30 samples, exact)")
 
 
-def main():
-    rng = random.Random(20260825)
+def derive_tables():
+    """The verified I2, I4 and I6 tables, derived from the fixed seed."""
+    rng = random.Random(SEED)
     terms_by_name = {name: derive(name, w, rng) for name, w in WEIGHTS.items()}
     verify(terms_by_name, rng)
+    return terms_by_name
 
-    out = Path(__file__).resolve().parent.parent / "src" / "g2modpoly" / "igusa_data.py"
+
+def main():
+    terms_by_name = derive_tables()
+
+    out = ROOT / "src" / "g2modpoly" / "igusa_data.py"
     with open(out, "w") as fh:
         fh.write('"""Frozen coefficient formulas for the Igusa-Clebsch invariants.\n\n')
         fh.write("Generated by scripts/derive_igusa_clebsch.py; do not edit by hand.\n")

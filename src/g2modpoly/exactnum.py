@@ -1,11 +1,10 @@
 """Exact rational and arbitrary-precision numeric kernel.
 
 Everything downstream (symplectic matrices, Siegel points, Fourier series,
-curve invariants, evaluated modular polynomials) is built on four ingredients
+curve invariants, evaluated modular polynomials) is built on three ingredients
 collected here:
 
 * rationals: ``fractions.Fraction`` with ``p/q`` string (de)serialization,
-* sparse multivariate polynomials over the rationals (``MultiPoly``),
 * dense univariate polynomials as coefficient lists over any ring:
   ``poly_mul``, ``poly_from_roots`` and ``horner`` are the package's only
   polynomial arithmetic, over Fractions, mpc values and F_{p^2} alike;
@@ -28,11 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import functools
-import hashlib
 import math
 
 from mpmath import mp, mpc, mpf
@@ -206,10 +203,15 @@ def relative_deviation(a: MpScalar, b: MpScalar) -> mpf:
 
 
 def mpf_to_fraction(x: mpf) -> Fraction:
-    """Exact rational value of an mpf (mpf values are dyadic rationals)."""
-    if x == 0:
+    """Exact rational value of an mpf (mpf values are dyadic rationals).
+
+    inf and NaN have no rational value and raise ValueError.
+    """
+    sign, man, exp, bc = x._mpf_
+    if not man:
+        if bc:      # inf and NaN have no mantissa and a nonzero bc
+            raise ValueError(f"{x} is not a finite number")
         return Fraction(0)
-    sign, man, exp, _ = x._mpf_
     # The gmpy2 backend stores mantissas as gmpy2.mpz; coerce to int so
     # Fraction arithmetic works.
     man, exp = int(man), int(exp)
@@ -269,109 +271,6 @@ def pair_to_complex(pair: Sequence[str], prec: int) -> mpc:
         raise ValueError("complex value must be a [re, im] pair")
     with mp.workprec(prec + 8):
         return mpc(str_to_mpf(str(pair[0]), prec), str_to_mpf(str(pair[1]), prec))
-
-
-# ---------------------------------------------------------------------------
-# sparse multivariate polynomials over Q
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MultiPoly:
-    """Sparse multivariate polynomial with Fraction coefficients.
-
-    ``terms`` maps exponent tuples to nonzero coefficients; zero coefficients
-    are dropped on construction so representations are canonical.
-    """
-
-    variables: Tuple[str, ...]
-    terms: Mapping[Tuple[int, ...], Fraction]
-
-    def __post_init__(self) -> None:
-        nvars = len(self.variables)
-        clean: Dict[Tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms.items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != nvars:
-                raise ValueError(f"term {exps} does not match arity {nvars}")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in term {exps}")
-            coeff = Fraction(coeff)
-            if coeff != 0:
-                clean[exps] = coeff
-        object.__setattr__(self, "terms", MappingProxyType(clean))
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def evaluate(self, point: Sequence[Scalar]):
-        """Evaluate exactly over rationals, or numerically for mpc/mpf points.
-
-        Uses nested Horner on one variable at a time, so a rational point
-        gives an exact Fraction with no intermediate power table.
-        """
-        if len(point) != len(self.variables):
-            raise ValueError("point arity does not match polynomial arity")
-        items = [(exps, coeff) for exps, coeff in self.terms.items()]
-        return _horner_multi(items, tuple(point), 0)
-
-    def canonical_text(self) -> str:
-        """Canonical line rendering used for hashing and term files."""
-        lines = []
-        for exps in sorted(self.terms):
-            coeff = self.terms[exps]
-            lines.append(" ".join(str(e) for e in exps) + " " + format_rational(coeff))
-        return "\n".join(lines) + "\n"
-
-    def checksum(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()
-
-    @classmethod
-    def load(cls, path: str, variables: Tuple[str, ...]) -> "MultiPoly":
-        terms: Dict[Tuple[int, ...], Fraction] = {}
-        nvars = len(variables)
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != nvars + 1:
-                    raise ValueError(f"{path}:{lineno}: expected {nvars} exponents and a coefficient")
-                exps = tuple(int(p) for p in parts[:nvars])
-                if exps in terms:
-                    raise ValueError(f"{path}:{lineno}: duplicate term {exps}")
-                terms[exps] = parse_rational(parts[nvars])
-        return cls(variables=variables, terms=terms)
-
-
-def _horner_multi(items: List[Tuple[Tuple[int, ...], Fraction]], point: Tuple[Scalar, ...], var: int):
-    """Recursive sparse Horner evaluation over the remaining variables."""
-    if not items:
-        return Fraction(0)
-    if var == len(point):
-        # all exponents exhausted; items is a single constant term
-        total = Fraction(0)
-        for _, coeff in items:
-            total += coeff
-        return total
-    by_exp: Dict[int, List[Tuple[Tuple[int, ...], Fraction]]] = {}
-    for exps, coeff in items:
-        by_exp.setdefault(exps[var], []).append((exps, coeff))
-    x = point[var]
-    result = None
-    prev_exp = 0
-    for e in sorted(by_exp, reverse=True):
-        inner = _horner_multi(by_exp[e], point, var + 1)
-        if result is None:
-            result = inner
-        else:
-            result = result * x ** (prev_exp - e) + inner
-        prev_exp = e
-    assert result is not None
-    if prev_exp:
-        result = result * x**prev_exp
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,11 @@ univariate polynomials in X tie these together:
 
 ``l2_evaluate`` evaluates, exactly at a rational triple, the split-locus
 polynomial deciding whether an invariant triple belongs to a product of
-elliptic curves; its 34 terms ship as a data file whose integrity (term
-count, leading term, checksum) is enforced on load. ``degree_profile``
-recovers the numerator/denominator degrees of an unknown rational function
-from exact samples, which is how the degree shape of such relations is
-measured experimentally.
+elliptic curves; its 34 terms are the frozen table ``L2_TERMS``, in the
+format of the Igusa-Clebsch tables. ``degree_profile`` recovers the
+numerator/denominator degrees of an unknown rational function from exact
+samples, which is how the degree shape of such relations is measured
+experimentally.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from importlib import resources
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from mpmath import mp, mpc, mpf
@@ -39,7 +38,6 @@ from mpmath import mp, mpc, mpf
 from .exactnum import (
     DEFAULT_PREC,
     ComplexPoly,
-    MultiPoly,
     PrecisionError,
     WORK_GUARD,
     bareiss_det,
@@ -50,7 +48,7 @@ from .exactnum import (
     relative_deviation,
     tolerance,
 )
-from .g2curve import Genus2Curve, IgusaTriple, absolute_igusa, absolute_j1
+from .g2curve import Genus2Curve, IgusaTriple, _eval_terms, _power_table, absolute_igusa, absolute_j1
 from .modp import check_mod_p
 from .richelot import all_isogenous_invariants
 
@@ -74,9 +72,49 @@ FULL_P2_DEGREE_DATA = {
     "constant_term_monomials": 16795,
 }
 
-L2_TERM_COUNT = 34
-L2_LEADING = ((5, 0, 0), Fraction(236196))
-L2_CHECKSUM = "381246cd732442107201dd132ebf5462aa4b6ec4ebfd73ae739a3b0579ac741a"
+# Split-locus polynomial in the absolute invariants (j1, j2, j3).
+# Vanishes exactly when the principally polarized surface is a product
+# of elliptic curves with the product polarization.
+# A key (a, b, c) is the monomial j1^a j2^b j3^c.
+L2_TERMS = {
+    (0, 6, 1): -384,
+    (0, 7, 0): 80,
+    (1, 3, 3): 6912,
+    (1, 4, 2): -6048,
+    (1, 5, 0): -41472,
+    (1, 5, 1): 1728,
+    (1, 6, 0): -159,
+    (2, 0, 5): -31104,
+    (2, 1, 4): 47952,
+    (2, 2, 2): 9331200,
+    (2, 2, 3): -29376,
+    (2, 3, 1): -4743360,
+    (2, 3, 2): 8910,
+    (2, 4, 0): 592272,
+    (2, 4, 1): -1332,
+    (2, 5, 0): 78,
+    (3, 0, 3): 3499200,
+    (3, 0, 4): 81,
+    (3, 1, 1): 2099520000,
+    (3, 1, 2): -3090960,
+    (3, 1, 3): -108,
+    (3, 2, 0): -507384000,
+    (3, 2, 1): 870912,
+    (3, 2, 2): 54,
+    (3, 3, 0): -77436,
+    (3, 3, 1): -12,
+    (3, 4, 0): 1,
+    (4, 0, 0): 125971200000,
+    (4, 0, 1): -104976000,
+    (4, 0, 2): -8748,
+    (4, 1, 0): 19245600,
+    (4, 1, 1): 5832,
+    (4, 2, 0): -972,
+    (5, 0, 0): 236196,
+}
+
+#: the largest exponent of j1, j2 and j3 in ``L2_TERMS``
+_L2_TOPS = tuple(max(mono[k] for mono in L2_TERMS) for k in range(3))
 
 
 class SplitInputError(ValueError):
@@ -87,29 +125,6 @@ class SplitInputError(ValueError):
 class CollidingImagesError(PrecisionError):
     """Two image invariants coincide to tolerance; the construction needs
     higher precision (or the images genuinely collide)."""
-
-
-class DataIntegrityError(ValueError):
-    """A shipped data file failed its integrity checks."""
-
-
-_l2_cache: Optional[MultiPoly] = None
-
-
-def l2_poly() -> MultiPoly:
-    """The split-locus polynomial, loaded once and integrity checked."""
-    global _l2_cache
-    if _l2_cache is None:
-        with resources.as_file(resources.files("g2modpoly").joinpath("data/l2.terms")) as p:
-            poly = MultiPoly.load(str(p), ("j1", "j2", "j3"))
-        if len(poly) != L2_TERM_COUNT:
-            raise DataIntegrityError(f"split-locus file has {len(poly)} terms, expected {L2_TERM_COUNT}")
-        if poly.terms.get(L2_LEADING[0]) != L2_LEADING[1]:
-            raise DataIntegrityError("split-locus leading term mismatch")
-        if poly.checksum() != L2_CHECKSUM:
-            raise DataIntegrityError("split-locus checksum mismatch")
-        _l2_cache = poly
-    return _l2_cache
 
 
 def l2_evaluate(j: Union[IgusaTriple, Sequence]) -> Fraction:
@@ -124,7 +139,8 @@ def l2_evaluate(j: Union[IgusaTriple, Sequence]) -> Fraction:
         raise ValueError("expected a triple (j1, j2, j3)")
     if not all(isinstance(v, (int, Fraction)) for v in point):
         raise ValueError("the split-locus polynomial is evaluated at rational triples only")
-    return l2_poly().evaluate(tuple(Fraction(v) for v in point))
+    tables = [_power_table(Fraction(v), top) for v, top in zip(point, _L2_TOPS)]
+    return Fraction(_eval_terms(L2_TERMS, tables))
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +226,8 @@ def evaluated_P2(curve: Genus2Curve, prec: int = DEFAULT_PREC, *,
         return _build(curve, prec)
     if not curve.is_exact:
         raise ValueError("rational reconstruction needs an exact input curve")
+    if denom_bound < 1:
+        raise ValueError("denominator bound must be at least 1")
     rungs = [prec]
     while rungs[-1] < prec_cap:
         rungs.append(min(2 * rungs[-1], prec_cap))

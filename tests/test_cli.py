@@ -22,6 +22,7 @@ from fractions import Fraction as F
 import pytest
 
 import g2modpoly
+from g2modpoly import modpoly
 from g2modpoly.cli import dispatch
 
 GENERIC = ["-2", "3", "1", "-1", "0", "2", "1"]
@@ -221,7 +222,8 @@ def test_exit_three_for_a_missing_input_file(tmp_path, capsys):
     assert "invalid input" in err
 
 
-def test_exit_three_for_domain_invalid_inputs(tmp_path, bielliptic_curve_file, capsys):
+def test_exit_three_for_domain_invalid_inputs(tmp_path, bielliptic_curve_file,
+                                              generic_curve_file, monkeypatch, capsys):
     nonmonic = _write_json(tmp_path / "nonmonic.json",
                            {"f": ["1", "0", "0", "0", "0", "0", "2"]})
     code, out, err = _run(["curve", "validate", "--in", nonmonic], capsys)
@@ -233,6 +235,18 @@ def test_exit_three_for_domain_invalid_inputs(tmp_path, bielliptic_curve_file, c
         ["modpoly", "eval2", "--in", bielliptic_curve_file], capsys)
     assert code == 3
     assert "split" in err.lower()
+
+    # a denominator bound below 1 is refused before any rung is built
+    def no_build(*args):
+        raise AssertionError("a rung was built")
+
+    monkeypatch.setattr(modpoly, "_build", no_build)
+    for bound in ("0", "-5"):
+        code, out, err = _run(["modpoly", "eval2", "--in", generic_curve_file,
+                               "--reconstruct", "--denom-bound", bound], capsys)
+        assert code == 3
+        assert out == ""
+        assert "denominator bound must be at least 1" in err
 
 
 @pytest.mark.parametrize("argv, doc", [
@@ -505,6 +519,19 @@ def test_modpoly_l2_for_curves(generic_curve_file, bielliptic_curve_file, capsys
     assert doc["results"]["split_locus_member"] is True
 
     code, doc, _ = _report(["modpoly", "l2", "--in", generic_curve_file], capsys)
+    assert code == 0
+    assert doc["results"]["split_locus_member"] is False
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "I2 = 0 sends every absolute invariant to 0, where the split-locus "
+    "polynomial vanishes; deciding such curves needs its weighted form in "
+    "(I2, I4, I6, I10) (ROADMAP item 1)"))
+def test_modpoly_l2_of_an_unsplit_curve_with_i2_zero(tmp_path, capsys):
+    # y^2 = x^6 + x^5 + 6x + 1 has I2 = 0; none of its 15 Richelot images
+    # is split and its evaluated P2 has degree 15
+    path = _write_json(tmp_path / "i2_zero.json", {"f": ["1", "6", "0", "0", "0", "1", "1"]})
+    code, doc, _ = _report(["modpoly", "l2", "--in", path], capsys)
     assert code == 0
     assert doc["results"]["split_locus_member"] is False
 

@@ -22,8 +22,7 @@ from g2modpoly.g2curve import Genus2Curve, SingularCurveError, absolute_igusa, t
 from g2modpoly.modpoly import (
     DEFAULT_DENOM_BOUND,
     DEFAULT_PREC,
-    L2_LEADING,
-    L2_TERM_COUNT,
+    L2_TERMS,
     CompanionReport,
     SplitInputError,
     _reconstruct_coeffs,
@@ -32,7 +31,6 @@ from g2modpoly.modpoly import (
     evaluated_Ftilde,
     evaluated_P2,
     l2_evaluate,
-    l2_poly,
 )
 from g2modpoly.igusa_data import I2_TERMS, I4_TERMS, I6_TERMS
 from g2modpoly.richelot import all_isogenous_invariants
@@ -60,12 +58,18 @@ GENERIC_P2_SHA256 = "e991f46eeb0fec5abfbdff23cdb9daf05fcd5ff80af065adbb0f93c3fad
 # ---------------------------------------------------------------------------
 
 
+# sha256 of the split-locus table rendered one term a line, "a b c coeff",
+# in sorted order of the exponents
+L2_SHA256 = "381246cd732442107201dd132ebf5462aa4b6ec4ebfd73ae739a3b0579ac741a"
+
+
 def test_locus_polynomial_shape_is_pinned():
-    poly = l2_poly()
-    assert len(poly.terms) == L2_TERM_COUNT == 34
-    exps, coeff = L2_LEADING
-    assert poly.terms[exps] == coeff == F(236196)
-    assert max(e[0] for e in poly.terms) == 5
+    text = "".join(f"{a} {b} {c} {L2_TERMS[a, b, c]}\n" for a, b, c in sorted(L2_TERMS))
+    assert hashlib.sha256(text.encode()).hexdigest() == L2_SHA256
+    assert len(L2_TERMS) == 34
+    assert all(type(c) is int and c != 0 for c in L2_TERMS.values())
+    assert L2_TERMS[5, 0, 0] == 236196
+    assert max(e[0] for e in L2_TERMS) == 5
 
 
 def test_locus_vanishes_at_origin():
@@ -74,15 +78,14 @@ def test_locus_vanishes_at_origin():
 
 def test_locus_pure_j1_profile():
     # exactly two monomials survive at (1, 0, 0)
-    poly = l2_poly()
-    pure = {e: c for e, c in poly.terms.items() if e[1] == 0 and e[2] == 0}
-    assert pure == {(5, 0, 0): F(236196), (4, 0, 0): F(125971200000)}
+    pure = {e: c for e, c in L2_TERMS.items() if e[1] == 0 and e[2] == 0}
+    assert pure == {(5, 0, 0): 236196, (4, 0, 0): 125971200000}
     assert l2_evaluate((F(1), F(0), F(0))) == F(125971436196)
 
 
 def test_locus_value_at_ones_is_coefficient_sum():
     assert l2_evaluate((F(1), F(1), F(1))) == F(127484175537)
-    assert l2_evaluate((F(1), F(1), F(1))) == sum(l2_poly().terms.values())
+    assert l2_evaluate((F(1), F(1), F(1))) == sum(L2_TERMS.values())
 
 
 @pytest.mark.parametrize(

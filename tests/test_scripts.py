@@ -7,14 +7,20 @@ settings, so a change to a library signature the scripts use shows here.
 import importlib.util
 from pathlib import Path
 
+from g2modpoly.igusa_data import I2_TERMS, I4_TERMS, I6_TERMS
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def _main(name):
+def _load(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.main
+    return module
+
+
+def _main(name):
+    return _load(name).main
 
 
 def test_eval_p2_demo_runs(capsys):
@@ -37,3 +43,10 @@ def test_report_digests_runs(capsys):
                       "modpoly ftilde --k 2", "modpoly ftilde --k 3",
                       "evaluated_P2 300 bits", "reconstruct 2^800 cap 4200"]
     assert all(len(row.rsplit(": ", 1)[1]) == 64 for row in rows)
+
+
+def test_derive_igusa_clebsch_reproduces_the_frozen_tables(capsys):
+    # derive and verify only: ``main`` would also rewrite igusa_data.py
+    tables = _load("derive_igusa_clebsch").derive_tables()
+    assert tables == {"I2": I2_TERMS, "I4": I4_TERMS, "I6": I6_TERMS}
+    assert "verification passed" in capsys.readouterr().out
