@@ -8,11 +8,14 @@ in both:
 
 The curves are the first ``--curves`` of the benchmark's seeded pool, drawn
 by ``perfbench/workloads.py``. For each of ``modpoly eval2``, ``richelot
-all``, ``curve invariants`` and ``modpoly ftilde --k 2`` and ``--k 3`` at
-the default precision it prints one sha256 over every curve's exit status
-and the report's ``results`` and ``checks`` (``inputs`` carries the
-temporary file path, so it is left out, as in ``tests/test_cli.py``). It
-prints the sha256 of the raw mpmath tuples (``_mpf_``) of every
+all``, ``curve invariants``, ``modpoly ftilde --k 2`` and ``--k 3``,
+``curve validate`` and ``modpoly l2`` at the default precision it prints
+one sha256 over every curve's exit status and the report's ``results`` and
+``checks`` (``inputs`` carries the temporary file path, so it is left out,
+as in ``tests/test_cli.py``). The same lines follow, marked ``moved``, for
+each curve moved by x -> 2x + 1 (``transform_model``), whose monic model
+has coefficients with denominators 2^k, so that the exact invariants of
+non-integral models are compared too. It prints the sha256 of the raw mpmath tuples (``_mpf_``) of every
 coefficient of ``evaluated_P2(c, 300).p2`` over the same curves, or of the
 exception's name for a curve that is refused, so the float P2 is compared
 bit for bit and not only to the printed digits. Then it prints the sha256 of ``(prec, rational_p2)`` from
@@ -33,12 +36,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from g2modpoly import cli, modpoly  # noqa: E402
+from g2modpoly import cli, g2curve, modpoly  # noqa: E402
 
 import workloads  # noqa: E402
 
 COMMANDS = (("modpoly", "eval2"), ("richelot", "all"), ("curve", "invariants"),
-            ("modpoly", "ftilde", "--k", "2"), ("modpoly", "ftilde", "--k", "3"))
+            ("modpoly", "ftilde", "--k", "2"), ("modpoly", "ftilde", "--k", "3"),
+            ("curve", "validate"), ("modpoly", "l2"))
+
+#: x -> 2x + 1, the model change of the ``moved`` curve set
+MOVE = ((2, 1), (0, 1))
 
 
 def report_digest(command, paths):
@@ -91,10 +98,13 @@ def main(argv=None):
 
     curves = workloads.random_curves(args.seed, max(args.curves, args.recon))
     print(f"# seed {args.seed}: {args.curves} report curves, {args.recon} reconstruct curves")
+    moved = [g2curve.transform_model(c, MOVE) for c in curves[:args.curves]]
+    assert all(any(v.denominator > 1 for v in c.coeffs) for c in moved), "a moved model is integral"
     with tempfile.TemporaryDirectory() as tmp:
-        paths = workloads.write_curves(curves[:args.curves], tmp)
-        for command in COMMANDS:
-            print(f"{' '.join(command)}: {report_digest(command, paths)}")
+        for label, chosen in (("", curves[:args.curves]), ("moved ", moved)):
+            paths = workloads.write_curves(chosen, f"{tmp}/{label.strip() or 'pool'}")
+            for command in COMMANDS:
+                print(f"{label}{' '.join(command)}: {report_digest(command, paths)}")
     print(f"evaluated_P2 300 bits: {p2_bits_digest(curves[:args.curves], 300)}")
     print(f"reconstruct 2^800 cap 4200: {ladder_digest(curves[:args.recon])}")
     return 0

@@ -24,6 +24,7 @@ domain-invalid inputs; 4 for precision failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -522,7 +523,9 @@ def _cmd_verify_all(args) -> HandlerResult:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command tree, built once per process: parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--prec", type=int, default=DEFAULT_PREC,
                         help=f"working precision in bits (default {DEFAULT_PREC})")

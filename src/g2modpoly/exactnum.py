@@ -11,9 +11,10 @@ collected here:
   ``ComplexPoly`` holds mpc coefficients at a stated precision and adds
   only synthetic division (``deflate``),
 * exact linear algebra: ``nullspace``, the fraction-free integer
-  determinant ``bareiss_det``, and ``field_det``, the one determinant over
-  an exact field, which the Igusa-Clebsch I10 over the rationals and over
-  F_{p^2} both take; and continued-fraction rational reconstruction.
+  determinant ``bareiss_det``, which gives the Igusa-Clebsch I10 of a
+  rational curve on its integral model, and ``field_det``, the one
+  determinant over an exact field, which gives I10 over F_{p^2}; and
+  continued-fraction rational reconstruction.
 
 All floating point work goes through mpmath with explicit binary precision.
 A value "at precision ``prec``" means the computation ran with at least
@@ -449,10 +450,12 @@ def field_det(rows: Sequence[Sequence]):
     """Determinant of a square matrix over a field, by Gaussian elimination.
 
     Entries are Fractions or ``modp.Fp2`` values, with int zeros allowed:
-    they stay ints, so no other field's arithmetic mixes in. A nonzero int
-    pivot raises TypeError, since ``1 / pivot`` would be a float. Each
-    column takes one ``1 / pivot``, and the updates skip the zero entries
-    of the pivot row.
+    they stay ints, so no other field's arithmetic mixes in. The package
+    passes only ``Fp2`` values (the I10 of ``g2curve.exact_clebsch`` over
+    F_{p^2}); its rational determinants are of integer matrices, by
+    ``bareiss_det``. A nonzero int pivot raises TypeError, since
+    ``1 / pivot`` would be a float. Each column takes one ``1 / pivot``,
+    and the updates skip the zero entries of the pivot row.
     Any exact elimination gives the same field element, so the result does
     not depend on the pivot order.
     """

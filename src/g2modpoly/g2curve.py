@@ -17,8 +17,12 @@ Invariants come in two flavours:
   coefficients each power is multiplied out exactly and rounded once at
   the working precision. I10 comes from a Sylvester resultant. Over an
   exact field all four come from ``exact_clebsch``, which rational
-  curves and ``modp``'s images over F_{p^2} share; I10 is then
-  ``exactnum.field_det`` of the Sylvester matrix.
+  curves and ``modp``'s images over F_{p^2} share. A rational curve is
+  first moved to its integral model D^6 f(x/D), D the least common
+  denominator, where the tables and I10 (``exactnum.bareiss_det`` of the
+  integer Sylvester matrix) are evaluated over ints and then divided by
+  the power of D that the model change multiplied them by. Over F_{p^2},
+  I10 is ``exactnum.field_det`` of the Sylvester matrix.
 * ``absolute_igusa``: the weight-zero triple
   j1 = I2^5/I10, j2 = I2^3 I4/I10, j3 = I2^2 I6/I10, with the powers of
   I2 taken from the same kind of table. ``absolute_j1`` is j1 alone, from
@@ -36,6 +40,7 @@ twist; the absolute triple is unchanged.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
@@ -47,6 +52,7 @@ from .exactnum import (
     DEFAULT_PREC,
     Scalar,
     WORK_GUARD,
+    bareiss_det,
     field_det,
     first_largest_modulus,
     format_rational,
@@ -102,7 +108,8 @@ def validate_curve(coeffs: Sequence[Union[int, Fraction, str]]) -> Genus2Curve:
 
     Each coefficient is an int, a Fraction or a rational string; anything
     else (a float, an mpc value) is refused with ValueError. Separability
-    is checked exactly: the discriminant I10 must be nonzero.
+    is checked exactly: the discriminant I10 must be nonzero, which it is
+    exactly when it is nonzero on the integral model.
     """
     if len(coeffs) != 7:
         raise NotMonicError(f"expected 7 coefficients, got {len(coeffs)}")
@@ -116,7 +123,8 @@ def validate_curve(coeffs: Sequence[Union[int, Fraction, str]]) -> Genus2Curve:
             raise ValueError(f"coefficient {c!r} is not rational")
     if parsed[6] != 1:
         raise NotMonicError("leading coefficient must be exactly 1")
-    if exact_clebsch(parsed, (), 0)[0] == 0:    # I10 alone
+    _, integral = _integral_model(parsed)
+    if bareiss_det(_sylvester_f_fprime(integral, 0)) == 0:
         raise SingularCurveError("sextic has a repeated root (discriminant is zero)")
     return Genus2Curve(tuple(parsed))
 
@@ -147,6 +155,23 @@ _TOP_POWER = max(e for terms in (I2_TERMS, I4_TERMS, I6_TERMS) for mono in terms
 
 #: the largest exponent of any coefficient in the I2 table
 _I2_TOP = max(e for mono in I2_TERMS for e in mono)
+
+
+def _d_weight(terms) -> int:
+    """The power of D by which x -> x/D multiplies the value of a table.
+
+    The model D^6 f(x/D) has coefficients c_k D^(6-k), so a term
+    c0^e0 ... c5^e5 gains D^s with s = sum (6-k) e_k. An invariant's table
+    is isobaric, so s is the same for every term and is read off the first.
+    """
+    return sum((6 - k) * e for k, e in enumerate(next(iter(terms))))
+
+
+assert all(_d_weight((mono,)) == _d_weight(terms)
+           for terms in (I2_TERMS, I4_TERMS, I6_TERMS) for mono in terms), "a table is not isobaric"
+
+#: the D-weight of I10: j1 = I2^5 / I10 has weight zero, so x -> x/D leaves it unchanged
+_I10_D_WEIGHT = 5 * _d_weight(I2_TERMS)
 
 
 def _eval_terms(terms, tables):
@@ -237,8 +262,7 @@ def _clebsch(curve: Genus2Curve, terms: Sequence[dict], top: int) -> Tuple[Scala
     depend on whether I4 and I6 are evaluated beside it.
     """
     if curve.is_exact:
-        return tuple(Fraction(v) for v in exact_clebsch([Fraction(c) for c in curve.coeffs],
-                                                        terms, top))
+        return exact_clebsch(curve.coeffs, terms, top)
     prec = curve.working_prec()
     with mp.workprec(prec + WORK_GUARD):
         tables = [_power_table(to_mpc(c, prec + WORK_GUARD), top) for c in curve.coeffs[:6]]
@@ -247,18 +271,40 @@ def _clebsch(curve: Genus2Curve, terms: Sequence[dict], top: int) -> Tuple[Scala
         return (*(mpc(v) for v in values), mpc(i10))
 
 
+def _integral_model(coeffs: Sequence[Union[int, Fraction]]) -> Tuple[int, List[int]]:
+    """D and the integer coefficients c_k D^(6-k) of the monic model D^6 f(x/D).
+
+    D is the least common denominator of the rational coefficients, constant
+    first, of the monic sextic f.
+    """
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return d, [c.numerator * d ** (6 - k) // c.denominator for k, c in enumerate(coeffs)]
+
+
 def exact_clebsch(coeffs: Sequence, terms: Sequence[dict], top: int) -> tuple:
     """The frozen tables ``terms``, then I10, for a monic sextic over an exact field.
 
-    ``coeffs`` are the seven coefficients, constant first, all Fractions or
-    all ``modp.Fp2`` values. The tables are evaluated over power tables up
-    to c^``top`` and I10 = -Res(f, f') is ``field_det`` of the Sylvester
-    matrix, whose zeros stay int zeros. This is the one exact evaluation:
-    rational curves and their reductions into F_{p^2} take it alike.
+    ``coeffs`` are the seven coefficients, constant first, all ints and
+    Fractions, or ``modp.Fp2`` values (with int zeros). The tables are
+    evaluated over power tables up to c^``top``, and I10 = -Res(f, f') is
+    the determinant of the Sylvester matrix. Rational coefficients are
+    first moved to the integral model (``_integral_model``): the tables and
+    ``bareiss_det`` run over ints, and each value is divided by D to its
+    table's D-weight, so the Fractions are the values on f itself. Over
+    F_{p^2}, I10 is ``field_det`` of the matrix, whose zeros stay int
+    zeros. Rational curves and their reductions into F_{p^2} take this
+    evaluation alike.
     """
+    rational = all(isinstance(c, (int, Fraction)) for c in coeffs)
+    if rational:
+        d, coeffs = _integral_model(coeffs)
     tables = [_power_table(c, top) for c in coeffs[:6]]
     values = [_eval_terms(t, tables) for t in terms]
-    return (*values, -field_det(_sylvester_f_fprime(coeffs, 0)))
+    if not rational:
+        return (*values, -field_det(_sylvester_f_fprime(coeffs, 0)))
+    values.append(-bareiss_det(_sylvester_f_fprime(coeffs, 0)))
+    weights = [_d_weight(t) for t in terms] + [_I10_D_WEIGHT]
+    return tuple(Fraction(v, d ** s) for v, s in zip(values, weights))
 
 
 def _require_nonsingular(curve: Genus2Curve, i10: Scalar) -> None:

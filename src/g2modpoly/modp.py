@@ -16,8 +16,9 @@ kernels run over ``Fp2`` unchanged: ``richelot_delta`` and
 ``image_sextic`` for each image, and ``poly_from_roots`` to expand P2, so
 P2 is expanded by the same code over C and over F_{p^2}. Each image's I2
 and I10 come from ``g2curve.exact_clebsch``, the exact evaluation that
-rational curves take too (I10 by ``exactnum.field_det``). Nothing here
-uses ``random``, so every result is deterministic.
+rational curves take too; over F_{p^2} its I10 is ``exactnum.field_det``
+of the Sylvester matrix. Nothing here uses ``random``, so every result is
+deterministic.
 """
 
 from __future__ import annotations

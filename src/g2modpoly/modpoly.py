@@ -113,8 +113,14 @@ L2_TERMS = {
     (5, 0, 0): 236196,
 }
 
-#: the largest exponent of j1, j2 and j3 in ``L2_TERMS``
-_L2_TOPS = tuple(max(mono[k] for mono in L2_TERMS) for k in range(3))
+#: the total degree of ``L2_TERMS``
+_L2_DEGREE = max(sum(mono) for mono in L2_TERMS)
+
+#: ``L2_TERMS`` homogenized in (n1, n2, n3, d), for the point j_k = n_k / d
+_L2_HOMOGENEOUS = {(*mono, _L2_DEGREE - sum(mono)): coeff for mono, coeff in L2_TERMS.items()}
+
+#: the largest exponent of n1, n2, n3 and d in ``_L2_HOMOGENEOUS``
+_L2_TOPS = tuple(max(mono[k] for mono in _L2_HOMOGENEOUS) for k in range(4))
 
 
 class SplitInputError(ValueError):
@@ -132,15 +138,19 @@ def l2_evaluate(j: Union[IgusaTriple, Sequence]) -> Fraction:
 
     Zero is a proof of a split Jacobian. A triple with an entry that is
     not an int or a Fraction (a float, an mpc value) is refused with
-    ValueError.
+    ValueError. The triple is put on its least common denominator d,
+    j_k = n_k / d; the homogenized table is evaluated over ints at
+    (n1, n2, n3, d) and divided once by d^7, its degree.
     """
     point = j.as_tuple() if isinstance(j, IgusaTriple) else tuple(j)
     if len(point) != 3:
         raise ValueError("expected a triple (j1, j2, j3)")
     if not all(isinstance(v, (int, Fraction)) for v in point):
         raise ValueError("the split-locus polynomial is evaluated at rational triples only")
-    tables = [_power_table(Fraction(v), top) for v, top in zip(point, _L2_TOPS)]
-    return Fraction(_eval_terms(L2_TERMS, tables))
+    d = math.lcm(*(v.denominator for v in point))
+    ints = [v.numerator * (d // v.denominator) for v in point] + [d]
+    tables = [_power_table(v, top) for v, top in zip(ints, _L2_TOPS)]
+    return Fraction(_eval_terms(_L2_HOMOGENEOUS, tables), d ** _L2_DEGREE)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from fractions import Fraction as F
 import pytest
 
 import g2modpoly
-from g2modpoly import modpoly
+from g2modpoly import cli, modpoly
 from g2modpoly.cli import dispatch
 
 GENERIC = ["-2", "3", "1", "-1", "0", "2", "1"]
@@ -177,6 +177,35 @@ def test_timings_flag_keeps_schema(capsys):
     assert code == 0
     assert isinstance(doc["elapsed"], int)
     assert doc["elapsed"] >= 0
+
+
+def test_the_parser_built_once_reports_as_a_fresh_one(generic_curve_file, monkeypatch, capsys):
+    # dispatch reuses one parser; options set by one call must not reach the next
+    assert cli._build_parser() is cli._build_parser()
+    sequence = [
+        ["curve", "invariants", "--in", generic_curve_file, "--prec", "600"],
+        ["curve", "invariants", "--in", generic_curve_file, "--timings"],
+        ["curve", "invariants", "--in", generic_curve_file],
+        ["curve", "invariants"],     # --in is required
+        ["curve", "validate", "--in", generic_curve_file],
+    ]
+
+    def outcomes():
+        runs = []
+        for argv in sequence:
+            code, out, err = _run(argv, capsys)
+            doc = json.loads(out) if out else None
+            if "--timings" in argv:
+                assert isinstance(doc.pop("elapsed"), int)
+            runs.append((code, doc, err))
+        return runs
+
+    cached = outcomes()
+    assert [code for code, _, _ in cached] == [0, 0, 0, 2, 0]
+    assert [cached[i][1]["precision"] for i in (0, 1, 2)] == [600, 300, 300]
+    assert cached[2][1]["elapsed"] == 0
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert outcomes() == cached
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,20 @@ import pytest
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import libmpc, libmpf
 
-from g2modpoly.exactnum import WORK_GUARD, mpf_to_fraction, to_mpc, tolerance
+from g2modpoly import g2curve, modp
+from g2modpoly.exactnum import WORK_GUARD, field_det, mpf_to_fraction, to_mpc, tolerance
 from g2modpoly.g2curve import (
+    _I10_D_WEIGHT,
+    _TOP_POWER,
     Genus2Curve,
     IgusaTriple,
     NotMonicError,
     SingularCurveError,
+    _d_weight,
+    _eval_terms,
     _power_table,
     _resultant_f_fprime,
+    _sylvester_f_fprime,
     absolute_igusa,
     curve_from_json,
     curve_to_json,
@@ -22,6 +28,7 @@ from g2modpoly.g2curve import (
     transform_model,
     validate_curve,
 )
+from g2modpoly.igusa_data import I2_TERMS, I4_TERMS, I6_TERMS
 from g2modpoly.richelot import enumerate_factorizations, richelot_image
 
 from oracles import absolute_igusa_from_roots, coeffs_from_roots, igusa_clebsch_from_roots
@@ -54,6 +61,11 @@ def test_validate_rejects_repeated_roots():
     with pytest.raises(SingularCurveError):
         validate_curve([0, 0, 0, 0, 0, 0, 1])  # x^6
     doubled = coeffs_from_roots((-1, -1, 0, 1, 2, 3))
+    with pytest.raises(SingularCurveError):
+        validate_curve([str(c) for c in doubled])
+    # denominators 2, 3 and 7: the discriminant vanishes on the integral model too
+    doubled = coeffs_from_roots((F(1, 2), F(1, 2), F(-1, 3), F(2), F(5, 7), F(-3)))
+    assert any(c.denominator > 1 for c in doubled)
     with pytest.raises(SingularCurveError):
         validate_curve([str(c) for c in doubled])
 
@@ -96,9 +108,71 @@ def test_invariants_match_oracle_on_integer_root_curves():
 
 
 def test_invariants_match_oracle_on_rational_root_curves():
-    roots = [F(1, 2), F(-3, 2), F(5, 3), F(-2), F(7, 4), F(0)]
-    c = curve(*coeffs_from_roots(roots))
-    assert igusa_clebsch(c) == igusa_clebsch_from_roots(roots)
+    rng = random.Random(2025)
+    cases = [[F(1, 2), F(-3, 2), F(5, 3), F(-2), F(7, 4), F(0)]]
+    for _ in range(8):     # mixed signs, denominators up to 10^6
+        cases.append([F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(6)])
+    for roots in cases:
+        c = curve(*coeffs_from_roots(roots))
+        assert igusa_clebsch(c) == igusa_clebsch_from_roots(roots)
+
+
+def _fraction_clebsch(coeffs):
+    """(I2, I4, I6, I10) evaluated over Fractions: the power tables of the
+    coefficients themselves, and I10 by elimination over the rationals."""
+    tables = [_power_table(F(c), _TOP_POWER) for c in coeffs[:6]]
+    values = [_eval_terms(t, tables) for t in (I2_TERMS, I4_TERMS, I6_TERMS)]
+    return (*values, -field_det(_sylvester_f_fprime([F(c) for c in coeffs], 0)))
+
+
+def test_invariants_of_fractional_curves_match_the_fraction_evaluation():
+    rng = random.Random(19)
+    for _ in range(30):
+        coeffs = [F(rng.randint(-40, 40), rng.randint(1, 60)) for _ in range(6)] + [F(1)]
+        c = curve(*coeffs)
+        got = igusa_clebsch(c)
+        assert all(type(v) is F for v in got)
+        assert got == _fraction_clebsch(coeffs)
+
+
+def test_the_d_weights_of_the_invariants():
+    # x -> x/D multiplies I2, I4, I6 and I10 by D^6, D^12, D^18 and D^30
+    assert [_d_weight(t) for t in (I2_TERMS, I4_TERMS, I6_TERMS)] + [_I10_D_WEIGHT] \
+        == [6, 12, 18, 30]
+    for terms in (I2_TERMS, I4_TERMS, I6_TERMS):
+        assert {_d_weight((mono,)) for mono in terms} == {_d_weight(terms)}
+
+
+def test_rational_curves_take_the_integer_determinant(monkeypatch):
+    # validate_curve, igusa_clebsch and absolute_igusa of a rational curve
+    # run over ints on the integral model; only F_{p^2} eliminates in a field
+    seen = {"field": [], "bareiss": []}
+
+    def field_spy(rows):
+        seen["field"].append([x for row in rows for x in row])
+        return raw_field(rows)
+
+    def bareiss_spy(rows):
+        seen["bareiss"].append([x for row in rows for x in row])
+        return raw_bareiss(rows)
+
+    raw_field, raw_bareiss = g2curve.field_det, g2curve.bareiss_det
+    monkeypatch.setattr(g2curve, "field_det", field_spy)
+    monkeypatch.setattr(g2curve, "bareiss_det", bareiss_spy)
+    coeffs = ["3/4", "-1/6", "2", "5/9", "0", "-7/2", "1"]
+    c = validate_curve(coeffs)
+    igusa_clebsch(c)
+    absolute_igusa(c)
+    assert seen["field"] == []
+    assert len(seen["bareiss"]) == 3
+    assert all(type(x) is int for entries in seen["bareiss"] for x in entries)
+
+    p = next(p for p in modp._candidate_primes()
+             if modp.p2_mod_p([modp._reduce(v, p) for v in c.coeffs], p) is not None)
+    assert len(seen["field"]) > 0
+    assert all(isinstance(x, modp.Fp2) or x == 0 for entries in seen["field"] for x in entries)
+    assert not any(isinstance(x, F) for entries in seen["field"] for x in entries)
+    assert len(seen["bareiss"]) == 3
 
 
 def test_frozen_values_for_x6_plus_1():

@@ -83,6 +83,21 @@ def test_locus_pure_j1_profile():
     assert l2_evaluate((F(1), F(0), F(0))) == F(125971436196)
 
 
+@pytest.mark.parametrize("point", [
+    (F(1, 2), F(-3, 5), F(7, 9)),
+    (3, -4, 0),
+    (0, F(5, 6), F(-1, 10**6)),
+    (F(-2, 3), 0, 5),
+    (F(-123456, 7919), F(10**9, 3), F(-5, 2**40)),
+])
+def test_locus_value_is_the_direct_fraction_evaluation(point):
+    j1, j2, j3 = (F(v) for v in point)
+    direct = sum(coeff * j1**a * j2**b * j3**c for (a, b, c), coeff in L2_TERMS.items())
+    got = l2_evaluate(point)
+    assert type(got) is F
+    assert got == direct
+
+
 def test_locus_value_at_ones_is_coefficient_sum():
     assert l2_evaluate((F(1), F(1), F(1))) == F(127484175537)
     assert l2_evaluate((F(1), F(1), F(1))) == sum(L2_TERMS.values())

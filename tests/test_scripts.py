@@ -39,9 +39,11 @@ def test_report_digests_runs(capsys):
     assert _main("report_digests")(["--curves", "2", "--recon", "0"]) == 0
     rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
     labels = [row.rsplit(": ", 1)[0] for row in rows]
-    assert labels == ["modpoly eval2", "richelot all", "curve invariants",
-                      "modpoly ftilde --k 2", "modpoly ftilde --k 3",
-                      "evaluated_P2 300 bits", "reconstruct 2^800 cap 4200"]
+    reports = ["modpoly eval2", "richelot all", "curve invariants",
+               "modpoly ftilde --k 2", "modpoly ftilde --k 3",
+               "curve validate", "modpoly l2"]
+    assert labels == reports + [f"moved {r}" for r in reports] + [
+        "evaluated_P2 300 bits", "reconstruct 2^800 cap 4200"]
     assert all(len(row.rsplit(": ", 1)[1]) == 64 for row in rows)
 
 
