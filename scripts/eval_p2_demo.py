@@ -38,7 +38,7 @@ def main(argv=None):
 
     triple = g2curve.absolute_igusa(curve)
     print("absolute invariants:")
-    for name, v in zip(("j1", "j2", "j3"), triple.as_tuple()):
+    for name, v in zip(("j1", "j2", "j3"), triple):
         print(f"  {name} = {v}")
 
     l2 = modpoly.l2_evaluate(triple)
@@ -48,12 +48,11 @@ def main(argv=None):
     if l2 == 0:
         return 1
 
-    records = richelot.all_isogenous_invariants(curve, args.prec)
-    print(f"richelot steps: {len(records)} quadratic factorizations")
+    pairs = richelot.all_isogenous_invariants(curve, args.prec)
+    print(f"richelot steps: {len(pairs)} quadratic factorizations")
     with mp.workprec(60):
-        for rec in records[:3]:
-            j1_img = rec.invariants.as_tuple()[0]
-            print(f"  step {rec.index}: j1(image) = {mp.nstr(mp.mpc(j1_img), 12)}")
+        for k, (_, image_triple) in enumerate(pairs[:3]):
+            print(f"  step {k}: j1(image) = {mp.nstr(mp.mpc(image_triple.j1), 12)}")
     print("  ...")
 
     built = modpoly.evaluated_P2(

@@ -15,10 +15,16 @@ one sha256 over every curve's exit status and the report's ``results`` and
 as in ``tests/test_cli.py``). The same lines follow, marked ``moved``, for
 each curve moved by x -> 2x + 1 (``transform_model``), whose monic model
 has coefficients with denominators 2^k, so that the exact invariants of
-non-integral models are compared too. It prints the sha256 of the raw mpmath tuples (``_mpf_``) of every
-coefficient of ``evaluated_P2(c, 300).p2`` over the same curves, or of the
-exception's name for a curve that is refused, so the float P2 is compared
-bit for bit and not only to the printed digits. Then it prints the sha256 of ``(prec, rational_p2)`` from
+non-integral models are compared too. It prints the sha256 of the raw
+mpmath tuples (``_mpf_``) of every coefficient of ``evaluated_P2(c,
+300).p2`` over the same curves, or of the exception's name for a curve
+that is refused, so the float P2 is compared bit for bit and not only to
+the printed digits. It prints the same digest of the six roots
+``complex_roots`` gives at 300 and at 2400 bits over the same curves, and
+over a fixed set of close pairs, marked ``cluster`` (roots b, b + 2^-g,
+5/2, -2, 3, -7/3 for b in {1/3, 2/7} and g in {12, 16, 20, 24, 40, 80}),
+so that every way of seeding the roots is compared. Then it prints the
+sha256 of ``(prec, rational_p2)`` from
 the ``recon-ladder-800`` operation (``evaluated_P2(..., reconstruct=True)``
 under 2^800 up to 4200 bits) on the first ``--recon`` curves. The library
 and the benchmark modules are imported from this checkout.
@@ -31,12 +37,14 @@ import io
 import json
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from g2modpoly import cli, g2curve, modpoly  # noqa: E402
+from g2modpoly import cli, g2curve, modpoly, richelot  # noqa: E402
+from g2modpoly.exactnum import poly_from_roots  # noqa: E402
 
 import workloads  # noqa: E402
 
@@ -46,6 +54,12 @@ COMMANDS = (("modpoly", "eval2"), ("richelot", "all"), ("curve", "invariants"),
 
 #: x -> 2x + 1, the model change of the ``moved`` curve set
 MOVE = ((2, 1), (0, 1))
+
+#: roots b, b + 2^-g, 5/2, -2, 3, -7/3: two roots 2^-g apart beside four simple ones
+CLUSTERS = tuple(
+    g2curve.Genus2Curve(tuple(poly_from_roots(
+        (b, b + Fraction(1, 2**g), Fraction(5, 2), -2, 3, Fraction(-7, 3)), Fraction(1))))
+    for b in (Fraction(1, 3), Fraction(2, 7)) for g in (12, 16, 20, 24, 40, 80))
 
 
 def report_digest(command, paths):
@@ -62,11 +76,13 @@ def report_digest(command, paths):
     return digest.hexdigest()
 
 
-def p2_bits_digest(curves, prec):
+def bits_digest(values, curves, prec):
+    """sha256 of the raw ``_mpf_`` tuples of ``values(curve, prec)`` per curve,
+    or of the exception's name for a curve that is refused."""
     digest = hashlib.sha256()
     for curve in curves:
         try:
-            coeffs = modpoly.evaluated_P2(curve, prec).p2.coeffs
+            coeffs = values(curve, prec)
         except (ValueError, ArithmeticError) as exc:
             text = type(exc).__name__
         else:
@@ -74,6 +90,10 @@ def p2_bits_digest(curves, prec):
                          for s, m, e, b in (c.real._mpf_, c.imag._mpf_)])
         digest.update(f"{text}\n".encode())
     return digest.hexdigest()
+
+
+def p2_coeffs(curve, prec):
+    return modpoly.evaluated_P2(curve, prec).p2.coeffs
 
 
 def ladder_digest(curves):
@@ -105,7 +125,11 @@ def main(argv=None):
             paths = workloads.write_curves(chosen, f"{tmp}/{label.strip() or 'pool'}")
             for command in COMMANDS:
                 print(f"{label}{' '.join(command)}: {report_digest(command, paths)}")
-    print(f"evaluated_P2 300 bits: {p2_bits_digest(curves[:args.curves], 300)}")
+    print(f"evaluated_P2 300 bits: {bits_digest(p2_coeffs, curves[:args.curves], 300)}")
+    for label, chosen in (("", curves[:args.curves]), ("cluster ", CLUSTERS)):
+        for prec in (300, 2400):
+            print(f"{label}complex_roots {prec} bits: "
+                  f"{bits_digest(richelot.complex_roots, chosen, prec)}")
     print(f"reconstruct 2^800 cap 4200: {ladder_digest(curves[:args.recon])}")
     return 0
 

@@ -108,9 +108,8 @@ def _series_doc(s: qseries.FourierSeries) -> dict:
 
 
 def _triple_doc(j, prec: int) -> List[object]:
-    vals = j.as_tuple() if isinstance(j, g2curve.IgusaTriple) else tuple(j)
     out: List[object] = []
-    for v in vals:
+    for v in j:
         if isinstance(v, (int, Fraction)):
             out.append(format_rational(Fraction(v)))
         else:
@@ -322,18 +321,18 @@ def _cmd_curve_transform(args) -> HandlerResult:
 def _cmd_richelot_all(args) -> HandlerResult:
     curve = g2curve.load_curve(args.infile)
     prec = args.prec
-    records = richelotmod.all_isogenous_invariants(curve, prec)
+    pairs = richelotmod.all_isogenous_invariants(curve, prec)
     steps = []
-    for rec in records:
+    for k, (step, invariants) in enumerate(pairs):
         steps.append({
-            "index": rec.index,
-            "triple": [[complex_to_pair(c, prec) for c in q] for q in rec.triple.quads],
-            "delta": complex_to_pair(rec.delta, prec),
-            "split": rec.is_split,
-            "invariants": None if rec.is_split else _triple_doc(rec.invariants, prec),
+            "index": k,
+            "triple": [[complex_to_pair(c, prec) for c in q] for q in step.triple.quads],
+            "delta": complex_to_pair(step.delta, prec),
+            "split": step.is_split,
+            "invariants": None if step.is_split else _triple_doc(invariants, prec),
         })
-    checks = [_check("fifteen_factorizations", len(records) == 15,
-                     f"{len(records)} quadratic factorizations")]
+    checks = [_check("fifteen_factorizations", len(pairs) == 15,
+                     f"{len(pairs)} quadratic factorizations")]
     return ({"in": args.infile}, {"steps": steps}, checks)
 
 
@@ -475,15 +474,15 @@ def _cmd_verify_all(args) -> HandlerResult:
                          "(M N) tau = M (N tau) on samples"))
 
     curve = g2curve.validate_curve((-2, 3, 1, -1, 0, 2, 1))
-    records = richelotmod.all_isogenous_invariants(curve, prec)
-    checks.append(_check("fifteen_richelot_steps", len(records) == 15,
-                         f"{len(records)} factorizations"))
+    pairs = richelotmod.all_isogenous_invariants(curve, prec)
+    checks.append(_check("fifteen_richelot_steps", len(pairs) == 15,
+                         f"{len(pairs)} factorizations"))
 
     step = richelotmod.richelot_image(richelotmod.enumerate_factorizations(curve, prec)[0])
     back = richelotmod.richelot_image(richelotmod.dual_triple(step))
     work = prec + WORK_GUARD
-    src = [to_mpc(v, work) for v in g2curve.absolute_igusa(curve).as_tuple()]
-    img = [to_mpc(v, work) for v in g2curve.absolute_igusa(back.image).as_tuple()]
+    src = [to_mpc(v, work) for v in g2curve.absolute_igusa(curve)]
+    img = [to_mpc(v, work) for v in g2curve.absolute_igusa(back.image)]
     with mp.workprec(work):
         worst = max(relative_deviation(a, b) for a, b in zip(src, img))
     checks.append(_check("richelot_involution", worst <= tol,

@@ -25,9 +25,11 @@ Invariants come in two flavours:
   I10 is ``exactnum.field_det`` of the Sylvester matrix.
 * ``absolute_igusa``: the weight-zero triple
   j1 = I2^5/I10, j2 = I2^3 I4/I10, j3 = I2^2 I6/I10, with the powers of
-  I2 taken from the same kind of table. ``absolute_j1`` is j1 alone, from
-  I2 and I10 only (power tables up to c^2), bit for bit the same value;
-  the evaluated P2 needs nothing else of the 15 Richelot images.
+  I2 taken from the same kind of table, as an ``IgusaTriple``: a named
+  tuple, read by name (``.j1``) or as the plain tuple (j1, j2, j3).
+  ``absolute_j1`` is j1 alone, from I2 and I10 only (power tables up to
+  c^2), bit for bit the same value; the evaluated P2 needs nothing else
+  of the 15 Richelot images.
   These are invariant under Moebius changes of the x coordinate and under
   quadratic twists, so they classify the curve up to isomorphism over an
   algebraically closed field (away from I2 = 0).
@@ -43,7 +45,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from mpmath import mp, mpc
 from mpmath.libmp import fone, fzero, mpc_div, mpc_mul, mpc_neg, mpc_sub, round_nearest
@@ -91,16 +93,12 @@ class Genus2Curve:
         return self.prec if self.prec is not None else DEFAULT_PREC
 
 
-@dataclass(frozen=True)
-class IgusaTriple:
+class IgusaTriple(NamedTuple):
     """Absolute Igusa invariants (j1, j2, j3); exact or at a stated precision."""
 
     j1: Scalar
     j2: Scalar
     j3: Scalar
-
-    def as_tuple(self) -> Tuple[Scalar, Scalar, Scalar]:
-        return (self.j1, self.j2, self.j3)
 
 
 def validate_curve(coeffs: Sequence[Union[int, Fraction, str]]) -> Genus2Curve:

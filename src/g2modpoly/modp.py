@@ -153,15 +153,16 @@ def check_mod_p(curve: Genus2Curve, rationals: Sequence[Fraction]) -> Optional[i
 def p2_mod_p(f: Sequence[int], p: int) -> Optional[List[Fp2]]:
     """The 16 coefficients of P2 mod p for f mod p, or None when p is not usable.
 
-    ``f`` is the monic sextic reduced mod p, constant first. The roots are
-    found by Cantor-Zassenhaus with fixed shifts; the images follow
+    ``f`` is the monic sextic reduced mod p, constant first. It is usable
+    only if it divides x^(p^2) - x, the product of the distinct monic
+    irreducibles of degree 1 and 2 over F_p: that holds exactly when f is
+    separable with every root in F_{p^2}. The roots are then found by
+    Cantor-Zassenhaus with fixed shifts; the images follow
     ``pair_partitions_of_six`` and ``richelot_image``.
     """
-    if len(_gcd(f, [k * c for k, c in enumerate(f)][1:], p)) != 1:
-        return None  # f is not separable mod p
     h = _powmod([0, 1], p, f, p)
     if _compose(h, h, f, p) != [0, 1]:
-        return None  # x^(p^2) != x mod f: a root lies outside F_{p^2}
+        return None  # x^(p^2) != x mod f: a repeated root, or one outside F_{p^2}
     roots = _roots(f, h, p)
     if roots is None:
         return None

@@ -50,7 +50,7 @@ from .exactnum import (
 )
 from .g2curve import Genus2Curve, IgusaTriple, _eval_terms, _power_table, absolute_igusa, absolute_j1
 from .modp import check_mod_p
-from .richelot import all_isogenous_invariants
+from .richelot import _collision, all_isogenous_invariants
 
 DEFAULT_DENOM_BOUND = 1 << 256
 DEFAULT_PREC_CAP = 2000
@@ -133,7 +133,7 @@ class CollidingImagesError(PrecisionError):
     higher precision (or the images genuinely collide)."""
 
 
-def l2_evaluate(j: Union[IgusaTriple, Sequence]) -> Fraction:
+def l2_evaluate(j: Sequence) -> Fraction:
     """Evaluate the split-locus polynomial exactly at a rational invariant triple.
 
     Zero is a proof of a split Jacobian. A triple with an entry that is
@@ -142,7 +142,7 @@ def l2_evaluate(j: Union[IgusaTriple, Sequence]) -> Fraction:
     j_k = n_k / d; the homogenized table is evaluated over ints at
     (n1, n2, n3, d) and divided once by d^7, its degree.
     """
-    point = j.as_tuple() if isinstance(j, IgusaTriple) else tuple(j)
+    point = tuple(j)
     if len(point) != 3:
         raise ValueError("expected a triple (j1, j2, j3)")
     if not all(isinstance(v, (int, Fraction)) for v in point):
@@ -182,19 +182,18 @@ def _p2(curve: Genus2Curve, prec: int, triples: bool = False):
     An image's value is its IgusaTriple when ``triples``, else its j1 alone
     (so the values are the x_i). Raises on split or colliding images.
     """
-    records = all_isogenous_invariants(curve, prec, absolute_igusa if triples else absolute_j1)
-    split = [r.index for r in records if r.is_split]
+    pairs = all_isogenous_invariants(curve, prec, absolute_igusa if triples else absolute_j1)
+    split = [k for k, (step, _) in enumerate(pairs) if step.is_split]
     if split:
         raise SplitInputError(
             f"factorizations {split} give split quotients; the evaluated polynomial is undefined")
-    values = [r.invariants for r in records]
+    values = [value for _, value in pairs]
     xs = [v.j1 for v in values] if triples else values
     with mp.workprec(prec + WORK_GUARD):
-        for i in range(15):
-            for j in range(i + 1, 15):
-                if negligible(xs[i] - xs[j], prec, (xs[i], xs[j])):
-                    raise CollidingImagesError(
-                        f"image invariants {i} and {j} collide at this precision")
+        pair = _collision(xs, prec)
+    if pair is not None:
+        raise CollidingImagesError(
+            f"image invariants {pair[0]} and {pair[1]} collide at this precision")
     return ComplexPoly.from_roots(xs, prec), xs, values
 
 
@@ -308,7 +307,7 @@ def evaluated_Ftilde(curve: Genus2Curve, k: int, prec: int = DEFAULT_PREC) -> Co
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
     p2, xs, triples = _p2(curve, prec, triples=True)
-    return _companion(p2, xs, [t.as_tuple()[k - 1] for t in triples])
+    return _companion(p2, xs, [t[k - 1] for t in triples])
 
 
 @dataclass(frozen=True)
@@ -346,7 +345,7 @@ def companion_identity_report(curve: Genus2Curve, prec: int = DEFAULT_PREC) -> C
     w = prec + WORK_GUARD
     while True:
         p2, xs, triples = _p2(curve, w, triples=True)
-        jks = {k: [t.as_tuple()[k - 1] for t in triples] for k in (2, 3)}
+        jks = {k: [t[k - 1] for t in triples] for k in (2, 3)}
         ft = {k: _companion(p2, xs, jks[k]).coeffs for k in (2, 3)}
         with mp.workprec(w + WORK_GUARD):
             dp = [k * c for k, c in enumerate(p2.coeffs)][1:]

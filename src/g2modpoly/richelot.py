@@ -12,7 +12,9 @@ where delta = det of the coefficient matrix of (A, B, C) in the basis
 elliptic curves and there is no genus-2 image; that case is reported as a
 split marker rather than an error. Otherwise the right side is rescaled to
 a monic sextic model (the constant is absorbed into a quadratic twist,
-which does not move the absolute invariants).
+which does not move the absolute invariants). ``all_isogenous_invariants``
+gives the 15 steps out of a curve as (``RichelotStep``, invariant) pairs
+in factorization order, the invariant None exactly for a split step.
 
 ``bracket``, ``richelot_delta`` and ``image_sextic`` are written over any
 ring, so ``modp`` runs the same formulas over F_{p^2}.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpc, mpf
 
@@ -44,7 +46,7 @@ from .exactnum import (
     poly_mul,
     to_mpc,
 )
-from .g2curve import Genus2Curve, IgusaTriple, absolute_igusa
+from .g2curve import Genus2Curve, absolute_igusa
 
 Quadratic = Tuple[mpc, mpc, mpc]  # (c0, c1, c2), constant first
 
@@ -96,25 +98,6 @@ class RichelotStep:
         return self.image is None
 
 
-@dataclass(frozen=True)
-class IsogenyRecord:
-    """Invariant summary of one step out of a curve.
-
-    ``invariants`` is what ``all_isogenous_invariants``' invariant function
-    returned for the image (an IgusaTriple by default, j1 alone for P2),
-    or None for a split step.
-    """
-
-    index: int
-    triple: QuadraticTriple
-    delta: mpc
-    invariants: Optional[Union[IgusaTriple, Scalar]]
-
-    @property
-    def is_split(self) -> bool:
-        return self.invariants is None
-
-
 def pair_partitions_of_six() -> List[Tuple[Tuple[int, int], Tuple[int, int], Tuple[int, int]]]:
     """The 15 pairings of {0..5}, in a fixed deterministic order."""
 
@@ -163,16 +146,20 @@ def complex_roots(curve: Genus2Curve, prec: int) -> Tuple[mpc, ...]:
             scale = coeff_scale * magnitude((r,)) ** 6
             if not negligible(horner(coeffs, r), prec, (scale,)):
                 raise PrecisionError("root residual exceeds the certification tolerance")
-        if not _separated(roots, prec):
+        if _collision(roots, prec) is not None:
             raise PrecisionError("roots indistinguishable at this precision")
         ordered = sorted(roots, key=lambda z: (z.real, z.imag))
         return tuple(mpc(r) for r in ordered)
 
 
-def _separated(roots: Sequence[mpc], prec: int) -> bool:
-    """Whether no two roots agree to ``tolerance(prec)`` relative to their size."""
-    return not any(negligible(roots[i] - roots[j], prec, (roots[i], roots[j]))
-                   for i in range(len(roots)) for j in range(i + 1, len(roots)))
+def _collision(values: Sequence[mpc], prec: int) -> Optional[Tuple[int, int]]:
+    """The first pair (i, j), i < j, of values that agree to ``tolerance(prec)``
+    relative to their size, or None; differences round at the ambient precision."""
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            if negligible(values[i] - values[j], prec, (values[i], values[j])):
+                return i, j
+    return None
 
 
 def _lifted_roots(coeffs: Sequence[mpc], prec: int) -> List[mpc]:
@@ -218,10 +205,10 @@ def _lift(coeffs: Sequence[mpc], deriv: Sequence[mpc], seeds: Optional[Sequence[
     when a lift is refused, or when the lifted roots are not separated (two
     seeds found the same root)."""
     with mp.workprec(bits):
-        if seeds is None or not _separated(seeds, bits):
+        if seeds is None or _collision(seeds, bits) is not None:
             return None
         lifted = [_newton_lift(coeffs, deriv, r, bits, work) for r in seeds]
-        if None in lifted or not _separated(lifted, bits):
+        if None in lifted or _collision(lifted, bits) is not None:
             return None
         return lifted
 
@@ -453,19 +440,20 @@ def dual_triple(step: RichelotStep) -> QuadraticTriple:
 
 def all_isogenous_invariants(curve: Genus2Curve, prec: int,
                              invariant: Optional[Callable[[Genus2Curve], object]] = None,
-                             ) -> Tuple[IsogenyRecord, ...]:
-    """Invariants of all 15 (2,2)-isogenous surfaces (or split markers).
+                             ) -> Tuple[Tuple[RichelotStep, object], ...]:
+    """The 15 (2,2)-isogeny steps out of ``curve``, each with its image's invariant.
 
-    ``invariant`` maps an image curve to what its record carries: by
-    default ``absolute_igusa`` (the full triple); ``modpoly`` passes
-    ``absolute_j1`` to build P2. Each image is built and its invariant
-    taken before the next image is built, so the first error raised is
-    that of the first bad image, whichever function is passed.
+    The pairs (step, value) come in the order of ``enumerate_factorizations``;
+    value is None exactly when the step is split. ``invariant`` maps an
+    image curve to its value: by default ``absolute_igusa`` (the full
+    triple); ``modpoly`` passes ``absolute_j1`` to build P2. Each image is
+    built and its invariant taken before the next image is built, so the
+    first error raised is that of the first bad image, whichever function
+    is passed.
     """
     invariant = invariant or absolute_igusa
-    records: List[IsogenyRecord] = []
-    for k, triple in enumerate(enumerate_factorizations(curve, prec)):
+    pairs = []
+    for triple in enumerate_factorizations(curve, prec):
         step = richelot_image(triple)
-        value = None if step.is_split else invariant(step.image)
-        records.append(IsogenyRecord(k, triple, step.delta, value))
-    return tuple(records)
+        pairs.append((step, None if step.is_split else invariant(step.image)))
+    return tuple(pairs)

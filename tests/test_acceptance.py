@@ -367,9 +367,9 @@ def test_criterion_09_richelot_involution(capsys):
         triples = richelot.enumerate_factorizations(c, work)
         step = richelot.richelot_image(triples[0])
         back = richelot.richelot_image(richelot.dual_triple(step))
-        src = [to_mpc(v, work + 64) for v in g2curve.absolute_igusa(c).as_tuple()]
+        src = [to_mpc(v, work + 64) for v in g2curve.absolute_igusa(c)]
         img = [to_mpc(v, work + 64)
-               for v in g2curve.absolute_igusa(back.image).as_tuple()]
+               for v in g2curve.absolute_igusa(back.image)]
         with mp.workprec(work + 64):
             worst = max(worst, max(
                 abs(x - y) / max(mpf(1), abs(x)) for x, y in zip(src, img)))

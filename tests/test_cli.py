@@ -22,7 +22,7 @@ from fractions import Fraction as F
 import pytest
 
 import g2modpoly
-from g2modpoly import cli, modpoly
+from g2modpoly import cli, g2curve, modpoly
 from g2modpoly.cli import dispatch
 
 GENERIC = ["-2", "3", "1", "-1", "0", "2", "1"]
@@ -296,6 +296,24 @@ def test_exit_three_for_malformed_json_shapes(tmp_path, generic_curve_file, argv
 def test_exit_four_for_precision_failures(clustered_curve_file, capsys):
     code, out, err = _run(
         ["richelot", "all", "--in", clustered_curve_file, "--prec", "300"], capsys)
+    assert code == 4
+    assert out == ""
+    assert "precision failure" in err
+
+
+def test_colliding_image_invariants_are_refused(generic_curve_file, monkeypatch, capsys):
+    # image 9 is given image 3's j1: P2 would have a double root
+    found = modpoly.all_isogenous_invariants
+
+    def colliding(curve, prec, invariant=None):
+        pairs = list(found(curve, prec, invariant))
+        pairs[9] = (pairs[9][0], pairs[3][1])
+        return tuple(pairs)
+
+    monkeypatch.setattr(modpoly, "all_isogenous_invariants", colliding)
+    with pytest.raises(modpoly.CollidingImagesError, match="image invariants 3 and 9 collide"):
+        modpoly.evaluated_P2(g2curve.load_curve(generic_curve_file), 300)
+    code, out, err = _run(["modpoly", "eval2", "--in", generic_curve_file], capsys)
     assert code == 4
     assert out == ""
     assert "precision failure" in err

@@ -160,8 +160,8 @@ def test_evaluated_p2_coefficients_match_newton_identities():
     prec = 1200
     c = curve(*GENERIC)
     ev = evaluated_P2(c, prec)
-    records = all_isogenous_invariants(c, prec)
-    roots = [r.invariants.j1 for r in records]
+    pairs = all_isogenous_invariants(c, prec)
+    roots = [inv.j1 for _, inv in pairs]
     tol = tolerance(600)
     with mp.workprec(prec + 64):
         power = [mpc(15)]  # p_0 = n
@@ -184,12 +184,12 @@ def test_evaluated_p2_vanishes_at_image_invariants():
     prec = 300
     c = curve(*GENERIC)
     ev = evaluated_P2(c, prec)
-    records = all_isogenous_invariants(c, prec)
+    pairs = all_isogenous_invariants(c, prec)
     tol = tolerance(prec)
     with mp.workprec(prec + 64):
         scale = sum(abs(x) for x in ev.p2.coeffs)
-        for r in records:
-            x = r.invariants.j1
+        for _, inv in pairs:
+            x = inv.j1
             val = horner(ev.p2.coeffs, x)
             bound = tol * scale * max(mpf(1), abs(x)) ** 15
             assert abs(val) <= bound
@@ -211,7 +211,7 @@ def test_p2_from_image_j1_alone_equals_p2_from_the_full_triples(coeffs, prec):
         with pytest.raises(SingularCurveError):
             evaluated_P2(c, prec)
         return
-    full = [r.invariants.j1 for r in all_isogenous_invariants(c, prec)]
+    full = [inv.j1 for _, inv in all_isogenous_invariants(c, prec)]
     assert _bits(evaluated_P2(c, prec).p2) == _bits(ComplexPoly.from_roots(full, prec))
 
 
@@ -390,6 +390,19 @@ def test_mod_p_check_refuses_a_p2_outside_f_p(monkeypatch, generic_rationals):
     assert modp.check_mod_p(curve(*GENERIC), generic_rationals) is None
 
 
+def test_mod_p_check_skips_a_prime_where_f_is_inseparable():
+    # roots 0 and 2^61 - 1 meet mod 2^61 - 1: that prime is skipped, and
+    # the values P2 takes mod the next prime pass the check there
+    c = curve(*_roots_poly(0, modp.TOP_PRIME, 1, 2, 3, 4))
+    assert modp.p2_mod_p([modp._reduce(v, modp.TOP_PRIME) for v in c.coeffs], modp.TOP_PRIME) is None
+    primes = modp._candidate_primes()
+    assert next(primes) == modp.TOP_PRIME
+    q = next(primes)
+    p2 = modp.p2_mod_p([modp._reduce(v, q) for v in c.coeffs], q)
+    assert all(v.im == 0 for v in p2)
+    assert modp.check_mod_p(c, [v.re for v in p2]) == q
+
+
 def test_fp2_elements_compare_by_value():
     p = 7
     assert modp.Fp2(1, 0, p) == modp.Fp2(1, 0, p)
@@ -545,15 +558,15 @@ def test_companion_identity_direct_at_high_build_precision():
     c = curve(*GENERIC)
     ev = evaluated_P2(c, prec)
     ft2, ft3 = (evaluated_Ftilde(c, k, prec) for k in (2, 3))
-    records = all_isogenous_invariants(c, prec)
+    pairs = all_isogenous_invariants(c, prec)
     tol = tolerance(300)
     with mp.workprec(prec + 64):
         dp = [k * a for k, a in enumerate(ev.p2.coeffs)][1:]
-        for r in records:
-            x = r.invariants.j1
+        for _, inv in pairs:
+            x = inv.j1
             dpx = horner(dp, x)
             assert abs(dpx) > 0
-            for ft, want in ((ft2, r.invariants.j2), (ft3, r.invariants.j3)):
+            for ft, want in ((ft2, inv.j2), (ft3, inv.j3)):
                 got = horner(ft.coeffs, x) / dpx
                 assert abs(got - want) <= tol * max(mpf(1), abs(want))
 

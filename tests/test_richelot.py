@@ -225,6 +225,26 @@ def test_newton_lift_refuses_a_claim_at_the_schedule_fixed_point(bits):
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_newton_lift_refuses_a_seed_it_does_not_bring_to_the_working_precision():
+    # a seed 2^-5 off a root, claimed at 100 bits: the check step still
+    # moves it by far more than 2^-work
+    work = PREC + WORK_GUARD
+    coeffs = [to_mpc(F(c), work) for c in GENERIC]
+    deriv = [k * c for k, c in enumerate(coeffs)][1:]
+    root = complex_roots(curve(*GENERIC), PREC)[0]
+    with mp.workprec(work):
+        seed = root * (1 + mpf(2) ** -5)
+    assert richelot._newton_lift(coeffs, deriv, seed, 100, work) is None
+
+
+def test_newton_lift_refuses_a_seed_where_the_slope_vanishes():
+    # f'(0) = c1 = 0 for the split witness, so the first step has no slope
+    work = PREC + WORK_GUARD
+    coeffs = [to_mpc(F(c), work) for c in SPLIT_WITNESS]
+    deriv = [k * c for k, c in enumerate(coeffs)][1:]
+    assert richelot._newton_lift(coeffs, deriv, mpc(0), 100, work) is None
+
+
 def test_double_seeds_are_good_to_the_claimed_bits():
     # each seed lies within 2^-100 relative of a certified root
     c = curve(*GENERIC)
@@ -387,26 +407,25 @@ def test_dual_triple_rejects_degenerate_brackets():
 
 
 def test_generic_curve_has_fifteen_nonsplit_steps():
-    records = all_isogenous_invariants(curve(*GENERIC), PREC)
-    assert len(records) == 15
-    assert [r.index for r in records] == list(range(15))
-    assert all(not r.is_split for r in records)
-    assert all(r.invariants is not None for r in records)
+    pairs = all_isogenous_invariants(curve(*GENERIC), PREC)
+    assert len(pairs) == 15
+    assert all(not step.is_split for step, _ in pairs)
+    assert all(inv is not None for _, inv in pairs)
 
 
 def test_split_witness_has_exactly_one_split_step():
-    records = all_isogenous_invariants(curve(*SPLIT_WITNESS), PREC)
-    split = [r for r in records if r.is_split]
+    pairs = all_isogenous_invariants(curve(*SPLIT_WITNESS), PREC)
+    split = [(step, inv) for step, inv in pairs if step.is_split]
     assert len(split) == 1
-    assert split[0].invariants is None
+    assert split[0][1] is None
     with mp.workprec(PREC + 64):
-        assert abs(split[0].delta) <= tolerance(PREC)
-    assert sum(1 for r in records if r.invariants is not None) == 14
+        assert abs(split[0][0].delta) <= tolerance(PREC)
+    assert sum(1 for _, inv in pairs if inv is not None) == 14
 
 
 def test_image_invariants_are_closed_under_conjugation():
-    records = all_isogenous_invariants(curve(*GENERIC), PREC)
-    values = [r.invariants.j1 for r in records]
+    pairs = all_isogenous_invariants(curve(*GENERIC), PREC)
+    values = [inv.j1 for _, inv in pairs]
     tol = tolerance(PREC)
     with mp.workprec(PREC + 64):
         for v in values:
