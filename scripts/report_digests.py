@@ -26,8 +26,10 @@ over a fixed set of close pairs, marked ``cluster`` (roots b, b + 2^-g,
 so that every way of seeding the roots is compared. Then it prints the
 sha256 of ``(prec, rational_p2)`` from
 the ``recon-ladder-800`` operation (``evaluated_P2(..., reconstruct=True)``
-under 2^800 up to 4200 bits) on the first ``--recon`` curves. The library
-and the benchmark modules are imported from this checkout.
+under 2^800 up to 4200 bits) on the first ``--recon`` curves, and the
+sha256 of the prime at which ``modp.check_mod_p`` certifies each curve's
+rationals. The library and the benchmark modules are imported from this
+checkout.
 """
 
 import argparse
@@ -43,7 +45,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from g2modpoly import cli, g2curve, modpoly, richelot  # noqa: E402
+from g2modpoly import cli, g2curve, modp, modpoly, richelot  # noqa: E402
 from g2modpoly.exactnum import poly_from_roots  # noqa: E402
 
 import workloads  # noqa: E402
@@ -96,15 +98,19 @@ def p2_coeffs(curve, prec):
     return modpoly.evaluated_P2(curve, prec).p2.coeffs
 
 
-def ladder_digest(curves):
+def ladder_digests(curves):
+    """sha256 of ``(prec, rational_p2)`` per curve, and of the prime at which
+    ``check_mod_p`` certifies those rationals (None for a refused curve)."""
     run = workloads.ladder_runner(800, 4200)
-    digest = hashlib.sha256()
+    digest, primes = hashlib.sha256(), hashlib.sha256()
     for curve in curves:
         built = run(curve, None)
         coeffs = built.rational_p2
         text = "None" if coeffs is None else workloads.rational_digest(coeffs)
         digest.update(f"{built.prec}:{text}\n".encode())
-    return digest.hexdigest()
+        prime = None if coeffs is None else modp.check_mod_p(curve, coeffs)
+        primes.update(f"{prime}\n".encode())
+    return digest.hexdigest(), primes.hexdigest()
 
 
 def main(argv=None):
@@ -130,7 +136,9 @@ def main(argv=None):
         for prec in (300, 2400):
             print(f"{label}complex_roots {prec} bits: "
                   f"{bits_digest(richelot.complex_roots, chosen, prec)}")
-    print(f"reconstruct 2^800 cap 4200: {ladder_digest(curves[:args.recon])}")
+    rationals, primes = ladder_digests(curves[:args.recon])
+    print(f"reconstruct 2^800 cap 4200: {rationals}")
+    print(f"certifying prime 2^800 cap 4200: {primes}")
     return 0
 
 

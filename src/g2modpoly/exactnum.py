@@ -10,11 +10,10 @@ collected here:
   polynomial arithmetic, over Fractions, mpc values and F_{p^2} alike;
   ``ComplexPoly`` holds mpc coefficients at a stated precision and adds
   only synthetic division (``deflate``),
-* exact linear algebra: ``nullspace``, the fraction-free integer
+* exact linear algebra: ``nullspace`` and the fraction-free integer
   determinant ``bareiss_det``, which gives the Igusa-Clebsch I10 of a
-  rational curve on its integral model, and ``field_det``, the one
-  determinant over an exact field, which gives I10 over F_{p^2}; and
-  continued-fraction rational reconstruction.
+  rational curve on its integral model; and continued-fraction rational
+  reconstruction.
 
 All floating point work goes through mpmath with explicit binary precision.
 A value "at precision ``prec``" means the computation ran with at least
@@ -72,8 +71,20 @@ def format_rational(q: Fraction) -> str:
     """Render a Fraction as ``p/q``, or ``p`` when the denominator is 1."""
     q = Fraction(q)
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _int_to_str(q.numerator)
+    return f"{_int_to_str(q.numerator)}/{_int_to_str(q.denominator)}"
+
+
+def _int_to_str(n: int) -> str:
+    """str(n) past ``sys.get_int_max_str_digits()`` (4300 by default, at least
+    640): an int of 2000 bits or more is split by divmod on a power of ten."""
+    if n < 0:
+        return "-" + _int_to_str(-n)
+    if n.bit_length() < 2000:
+        return str(n)
+    half = n.bit_length() * 3 // 20   # about half its digits: log10(2) > 3/10
+    high, low = divmod(n, 10 ** half)
+    return _int_to_str(high) + _int_to_str(low).zfill(half)
 
 
 @functools.lru_cache(maxsize=None)
@@ -444,43 +455,6 @@ def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def field_det(rows: Sequence[Sequence]):
-    """Determinant of a square matrix over a field, by Gaussian elimination.
-
-    Entries are Fractions or ``modp.Fp2`` values, with int zeros allowed:
-    they stay ints, so no other field's arithmetic mixes in. The package
-    passes only ``Fp2`` values (the I10 of ``g2curve.exact_clebsch`` over
-    F_{p^2}); its rational determinants are of integer matrices, by
-    ``bareiss_det``. A nonzero int pivot raises TypeError, since
-    ``1 / pivot`` would be a float. Each column takes one ``1 / pivot``,
-    and the updates skip the zero entries of the pivot row.
-    Any exact elimination gives the same field element, so the result does
-    not depend on the pivot order.
-    """
-    a = [list(row) for row in rows]
-    n = len(a)
-    det = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        pivot = a[k]
-        if isinstance(pivot[k], int):
-            raise TypeError("field_det needs Fraction or Fp2 entries; an int is allowed only as 0")
-        det = det * pivot[k]
-        inv = 1 / pivot[k]
-        cols = [j for j in range(k + 1, n) if pivot[j]]
-        for row in a[k + 1:]:
-            if row[k]:
-                fct = row[k] * inv
-                for j in cols:
-                    row[j] = row[j] - fct * pivot[j]
-    return det
 
 
 # ---------------------------------------------------------------------------

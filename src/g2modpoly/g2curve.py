@@ -15,14 +15,14 @@ Invariants come in two flavours:
   integer coefficient formulas (igusa_data.py) over one power table
   [1, c, ..., c^4] per coefficient, shared by all three; for complex
   coefficients each power is multiplied out exactly and rounded once at
-  the working precision. I10 comes from a Sylvester resultant. Over an
-  exact field all four come from ``exact_clebsch``, which rational
-  curves and ``modp``'s images over F_{p^2} share. A rational curve is
+  the working precision. I10 comes from a Sylvester resultant. For a
+  rational curve all four come from ``exact_clebsch``: the curve is
   first moved to its integral model D^6 f(x/D), D the least common
   denominator, where the tables and I10 (``exactnum.bareiss_det`` of the
   integer Sylvester matrix) are evaluated over ints and then divided by
-  the power of D that the model change multiplied them by. Over F_{p^2},
-  I10 is ``exactnum.field_det`` of the Sylvester matrix.
+  the power of D that the model change multiplied them by. ``modp``
+  evaluates the I2 table over F_{p^2} with the same ``_eval_terms`` and
+  takes I10 from the brackets in closed form.
 * ``absolute_igusa``: the weight-zero triple
   j1 = I2^5/I10, j2 = I2^3 I4/I10, j3 = I2^2 I6/I10, with the powers of
   I2 taken from the same kind of table, as an ``IgusaTriple``: a named
@@ -55,7 +55,6 @@ from .exactnum import (
     Scalar,
     WORK_GUARD,
     bareiss_det,
-    field_det,
     first_largest_modulus,
     format_rational,
     negligible,
@@ -279,27 +278,19 @@ def _integral_model(coeffs: Sequence[Union[int, Fraction]]) -> Tuple[int, List[i
     return d, [c.numerator * d ** (6 - k) // c.denominator for k, c in enumerate(coeffs)]
 
 
-def exact_clebsch(coeffs: Sequence, terms: Sequence[dict], top: int) -> tuple:
-    """The frozen tables ``terms``, then I10, for a monic sextic over an exact field.
+def exact_clebsch(coeffs: Sequence[Union[int, Fraction]], terms: Sequence[dict], top: int) -> tuple:
+    """The frozen tables ``terms``, then I10, for a monic rational sextic.
 
-    ``coeffs`` are the seven coefficients, constant first, all ints and
-    Fractions, or ``modp.Fp2`` values (with int zeros). The tables are
-    evaluated over power tables up to c^``top``, and I10 = -Res(f, f') is
-    the determinant of the Sylvester matrix. Rational coefficients are
-    first moved to the integral model (``_integral_model``): the tables and
-    ``bareiss_det`` run over ints, and each value is divided by D to its
-    table's D-weight, so the Fractions are the values on f itself. Over
-    F_{p^2}, I10 is ``field_det`` of the matrix, whose zeros stay int
-    zeros. Rational curves and their reductions into F_{p^2} take this
-    evaluation alike.
+    ``coeffs`` are the seven coefficients, constant first, ints and
+    Fractions. They are first moved to the integral model
+    (``_integral_model``); the tables are evaluated there over int power
+    tables up to c^``top``, and I10 = -Res(f, f') is ``bareiss_det`` of the
+    integer Sylvester matrix. Each value is divided by D to its table's
+    D-weight, so the Fractions are the values on f itself.
     """
-    rational = all(isinstance(c, (int, Fraction)) for c in coeffs)
-    if rational:
-        d, coeffs = _integral_model(coeffs)
+    d, coeffs = _integral_model(coeffs)
     tables = [_power_table(c, top) for c in coeffs[:6]]
     values = [_eval_terms(t, tables) for t in terms]
-    if not rational:
-        return (*values, -field_det(_sylvester_f_fprime(coeffs, 0)))
     values.append(-bareiss_det(_sylvester_f_fprime(coeffs, 0)))
     weights = [_d_weight(t) for t in terms] + [_I10_D_WEIGHT]
     return tuple(Fraction(v, d ** s) for v, s in zip(values, weights))

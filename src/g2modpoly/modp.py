@@ -10,31 +10,31 @@ mod p exactly; ``check_mod_p`` compares that with the reduction of
 candidate rationals.
 
 Primes p = 3 (mod 4) are used, so F_{p^2} = F_p[i] with i^2 = -1
-(``Fp2``), counting down from 2^61 - 1. Polynomials over F_p are int lists,
-constant coefficient first, reduced mod p. The float pipeline's own
-kernels run over ``Fp2`` unchanged: ``richelot_delta`` and
-``image_sextic`` for each image, and ``poly_from_roots`` to expand P2, so
-P2 is expanded by the same code over C and over F_{p^2}. Each image's I2
-and I10 come from ``g2curve.exact_clebsch``, the exact evaluation that
-rational curves take too; over F_{p^2} its I10 is ``exactnum.field_det``
-of the Sylvester matrix. Nothing here uses ``random``, so every result is
-deterministic.
+(``Fp2``), counting down from 2^61 - 1; each is searched for once per
+process. Polynomials over F_p are int lists, constant first, reduced mod
+p; the powers of the root split, x^p first, are taken on residues packed
+into one int each (``_Residues``). The float pipeline's own kernels run
+over ``Fp2`` unchanged: ``bracket`` and ``image_sextic`` for each image,
+and ``poly_from_roots`` to expand P2, so P2 is expanded by the same code
+over C and over F_{p^2}. Each image's I10 comes from the brackets in
+closed form (``_image_j1``). Nothing here uses ``random``.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence
 
-from .exactnum import horner, poly_from_roots, poly_mul
-from .g2curve import Genus2Curve, _I2_TOP, exact_clebsch
+from .exactnum import horner, poly_from_roots
+from .g2curve import Genus2Curve, _I2_TOP, _eval_terms, _power_table
 from .igusa_data import I2_TERMS
 from .richelot import (
     MOVE_SHIFTS,
+    bracket,
     image_sextic,
     moved_model,
     pair_partitions_of_six,
-    richelot_delta,
 )
 
 #: primes tried by ``check_mod_p`` before it gives up; for an S6 sextic at
@@ -49,14 +49,17 @@ _SPLIT_SHIFTS = 64
 
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+_SLOT = 128   # bits per coefficient of a packed residue (``_Residues``)
+_SLOT_MASK = (1 << _SLOT) - 1
+
 
 class Fp2:
     """a + b i in F_p[i] = F_{p^2} for a prime p = 3 (mod 4), i^2 = -1.
 
-    An int operand is an element of F_p, so ``poly_mul``, ``horner``,
-    ``g2curve.exact_clebsch`` and ``exactnum.field_det`` run over this
-    field as they are. Division by zero raises ValueError. Elements compare
-    equal to each other and to ints by value; they are not hashable.
+    An int operand is an element of F_p, so ``poly_mul``, ``horner`` and
+    ``g2curve._eval_terms`` run over this field as they are. Division by
+    zero raises ValueError. Elements compare equal to each other and to
+    ints by value; they are not hashable.
     """
 
     __slots__ = ("re", "im", "p")
@@ -121,13 +124,12 @@ def check_mod_p(curve: Genus2Curve, rationals: Sequence[Fraction]) -> Optional[i
     ``rationals`` are the 16 coefficients of P2, constant first. The prime
     is the first usable one, counting down from 2^61 - 1 through primes
     p = 3 (mod 4): p divides no denominator of the curve or of the
-    rationals, f is separable mod p with every root in F_{p^2}, and for
-    every pairing delta, the image's leading coefficient (after the model
-    move ``richelot_image`` makes when it vanishes) and the image's I10 are
-    nonzero. At that prime P2 mod p is computed exactly (``p2_mod_p``); the
-    rationals are refused unless P2 mod p lies in F_p[X] and equals them
-    coefficient by coefficient. When none of the first ``PRIME_CANDIDATES``
-    primes is usable, the result is None as well.
+    rationals, f is separable mod p with every root in F_{p^2}, and every
+    image's I10 is nonzero (a zero delta gives I10 = 0). At that prime P2
+    mod p is computed exactly (``p2_mod_p``); the rationals are refused
+    unless P2 mod p lies in F_p[X] and equals them coefficient by
+    coefficient. When none of the first ``PRIME_CANDIDATES`` primes is
+    usable, the result is None as well.
 
     The check does not depend on the float pipeline: no root, bracket or
     invariant is shared with it. It is not a proof, since no bound on the
@@ -160,10 +162,12 @@ def p2_mod_p(f: Sequence[int], p: int) -> Optional[List[Fp2]]:
     Cantor-Zassenhaus with fixed shifts; the images follow
     ``pair_partitions_of_six`` and ``richelot_image``.
     """
-    h = _powmod([0, 1], p, f, p)
-    if _compose(h, h, f, p) != [0, 1]:
+    ring = _Residues(f, p)
+    x = ring.pack([0, 1])
+    h = ring.pow(x, p)
+    if ring.compose(h, h) != x:
         return None  # x^(p^2) != x mod f: a repeated root, or one outside F_{p^2}
-    roots = _roots(f, h, p)
+    roots = _roots(f, ring.unpack(h), p)
     if roots is None:
         return None
     j1s = []
@@ -177,21 +181,40 @@ def p2_mod_p(f: Sequence[int], p: int) -> Optional[List[Fp2]]:
 
 
 def _image_j1(quads) -> Optional[Fp2]:
-    """j1 = I2^5 / I10 of the Richelot image of three monic quadratics."""
-    if not richelot_delta(quads):
+    """j1 = I2^5 / I10 of the Richelot image of three monic quadratics, or
+    None when I10 vanishes.
+
+    The image G is the product of the brackets P = [A, B], Q = [A, C] and
+    R = [B, C]. As binary forms, disc(G) = disc(P) disc(Q) disc(R) (Res(P, Q)
+    Res(P, R) Res(Q, R))^2, also when G has degree < 6, and x -> t + 1/x
+    leaves it unchanged, so I10 = disc(G) / lead^10 on the monic model after
+    the move ``richelot_image`` makes when lead is 0 (G, nonzero of degree
+    <= 5, does not vanish at all of ``MOVE_SHIFTS``). A zero delta needs no
+    test: then C = a A + b B, so Q = b P, R = -a P and I10 = 0.
+    """
+    a, b, c = quads
+    ab, ac, bc = bracket(a, b), bracket(a, c), bracket(b, c)
+    res = _res(ab, ac) * _res(ab, bc) * _res(ac, bc)
+    d_ab, d_ac, d_bc = (q[1] * q[1] - 4 * q[0] * q[2] for q in (ab, ac, bc))
+    disc = d_ab * d_ac * d_bc * res * res
+    if not disc:
         return None
     g = image_sextic(quads)
     if not g[6]:
-        t = next((t for t in MOVE_SHIFTS if horner(g, t)), None)
-        if t is None:
-            return None
-        g = moved_model(g, t)
+        g = moved_model(g, next(t for t in MOVE_SHIFTS if horner(g, t)))
     inv = 1 / g[6]
-    i2, i10 = exact_clebsch([x * inv for x in g], (I2_TERMS,), _I2_TOP)
-    if not i10:
-        return None
-    sq = i2 * i2
-    return sq * sq * i2 / i10
+    i2 = _eval_terms(I2_TERMS, [_power_table(x * inv, _I2_TOP) for x in g[:6]])
+    w = i2 * g[6] * g[6]   # (I2 lead^2)^5 / (I10 lead^10) = I2^5 / I10
+    sq = w * w
+    return sq * sq * w / disc
+
+
+def _res(u, v):
+    """The resultant of two quadratics, constant coefficient first."""
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    w = u2 * v0 - u0 * v2
+    return w * w - (u2 * v1 - u1 * v2) * (u1 * v0 - u0 * v1)
 
 
 def _roots(f: List[int], h: List[int], p: int) -> Optional[List[Fp2]]:
@@ -203,8 +226,8 @@ def _roots(f: List[int], h: List[int], p: int) -> Optional[List[Fp2]]:
     """
     linear = _gcd(_sub(h, [0, 1], p), f, p)
     quadratic = _divmod(f, linear, p)[0]
-    lin_factors = _equal_degree_split(linear, 1, p)
-    quad_factors = _equal_degree_split(quadratic, 2, p)
+    lin_factors = _equal_degree_split(linear, 1, h, p)
+    quad_factors = _equal_degree_split(quadratic, 2, h, p)
     if lin_factors is None or quad_factors is None:
         return None
     roots = [Fp2(-g[0], 0, p) for g in lin_factors]
@@ -216,21 +239,27 @@ def _roots(f: List[int], h: List[int], p: int) -> Optional[List[Fp2]]:
     return roots
 
 
-def _equal_degree_split(g: List[int], d: int, p: int) -> Optional[List[List[int]]]:
+def _equal_degree_split(g: List[int], d: int, h: List[int], p: int) -> Optional[List[List[int]]]:
     """The monic degree-``d`` factors of ``g``, a product of distinct ones.
 
     Cantor-Zassenhaus with the fixed shifts a = 0, 1, ...: gcd(g,
     (x + a)^((p^d - 1)/2) - 1) collects the factors at which x + a is a
-    square in F_{p^d}. None when no shift splits a part.
+    square in F_{p^d}. With y = (x + a)^((p - 1)/2), that power is y for
+    d = 1 and y^p y = y(h) y for d = 2, h = x^p mod a multiple of ``g``.
+    None when no shift splits a part.
     """
     if len(g) - 1 <= d:
         return [g] if len(g) - 1 == d else []
-    e = (p ** d - 1) // 2
+    ring = _Residues(g, p)
+    frob = ring.pack(h)
     for a in range(_SPLIT_SHIFTS):
-        u = _gcd(_sub(_powmod([a, 1], e, g, p), [1], p), g, p)
+        y = ring.pow(ring.pack([a, 1]), (p - 1) // 2)
+        if d == 2:
+            y = ring.mul(ring.compose(y, frob), y)
+        u = _gcd(_sub(ring.unpack(y), [1], p), g, p)
         if 1 < len(u) < len(g):
-            left = _equal_degree_split(u, d, p)
-            right = _equal_degree_split(_divmod(g, u, p)[0], d, p)
+            left = _equal_degree_split(u, d, h, p)
+            right = _equal_degree_split(_divmod(g, u, p)[0], d, h, p)
             if left is None or right is None:
                 return None
             return left + right
@@ -238,13 +267,18 @@ def _equal_degree_split(g: List[int], d: int, p: int) -> Optional[List[List[int]
 
 
 def _candidate_primes() -> Iterator[int]:
-    """The first ``PRIME_CANDIDATES`` primes p = 3 (mod 4), from 2^61 - 1 down."""
-    n, found = TOP_PRIME, 0
-    while found < PRIME_CANDIDATES:
-        if _is_prime(n):
-            found += 1
-            yield n
+    """The first ``PRIME_CANDIDATES`` primes p = 3 (mod 4), from 2^61 - 1 down;
+    each is searched for once per process, when first read."""
+    return map(_candidate_prime, range(PRIME_CANDIDATES))
+
+
+@functools.lru_cache(maxsize=None)
+def _candidate_prime(k: int) -> int:
+    """The k-th prime p = 3 (mod 4) counting down from 2^61 - 1, k from 0."""
+    n = TOP_PRIME if k == 0 else _candidate_prime(k - 1) - 4
+    while not _is_prime(n):
         n -= 4
+    return n
 
 
 def _is_prime(n: int) -> bool:
@@ -307,28 +341,6 @@ def _divmod(u: Sequence[int], m: Sequence[int], p: int):
     return _trim(q), _trim(r[:dm])
 
 
-def _mulmod(u: Sequence[int], v: Sequence[int], m: Sequence[int], p: int) -> List[int]:
-    return _divmod(poly_mul(u, v), m, p)[1]
-
-
-def _powmod(u: Sequence[int], e: int, m: Sequence[int], p: int) -> List[int]:
-    """u^e mod m over F_p, by square and multiply."""
-    out = [1]
-    for bit in bin(e)[2:]:
-        out = _mulmod(out, out, m, p)
-        if bit == "1":
-            out = _mulmod(out, u, m, p)
-    return out
-
-
-def _compose(u: Sequence[int], v: Sequence[int], m: Sequence[int], p: int) -> List[int]:
-    """u(v(x)) mod m over F_p, by Horner's rule."""
-    out: List[int] = []
-    for c in reversed(u):
-        out = _sub(_mulmod(out, v, m, p), [-c], p)
-    return out
-
-
 def _gcd(u: Sequence[int], v: Sequence[int], p: int) -> List[int]:
     """The monic gcd over F_p (u, v not both zero)."""
     u, v = _trim([c % p for c in u]), _trim([c % p for c in v])
@@ -336,3 +348,56 @@ def _gcd(u: Sequence[int], v: Sequence[int], p: int) -> List[int]:
         u, v = v, _divmod(u, v, p)[1]
     inv = pow(u[-1], -1, p)
     return [c * inv % p for c in u]
+
+
+class _Residues:
+    """F_p[x] / (m), m monic of degree d <= 6, on packed ints.
+
+    A residue sum c_k x^k, c_k in [0, p), is the int sum c_k 2^(128 k)
+    (Kronecker substitution): a product is one int product, reduced with
+    x^d, ..., x^(2d-2) mod m, then slot by slot mod p. A slot stays below
+    3 d p^2 < 2^127 for p < 2^61 (``compose`` adds < p to one), no carry.
+    """
+
+    def __init__(self, m: Sequence[int], p: int) -> None:
+        self.m, self.p, self.d = m, p, len(m) - 1
+        self.low = (1 << (_SLOT * self.d)) - 1
+        self.tails = [self.pack([0] * k + [1]) for k in range(self.d, 2 * self.d - 1)]
+
+    def pack(self, u: Sequence[int]) -> int:
+        """u mod m, packed."""
+        out = 0
+        for c in reversed(_divmod(u, self.m, self.p)[1]):
+            out = (out << _SLOT) | c
+        return out
+
+    def unpack(self, a: int) -> List[int]:
+        """The coefficient list of a packed residue, each slot taken mod p."""
+        return _trim([((a >> (_SLOT * k)) & _SLOT_MASK) % self.p for k in range(self.d)])
+
+    def mul(self, a: int, b: int) -> int:
+        c = a * b
+        out = c & self.low
+        c >>= _SLOT * self.d
+        for tail in self.tails:
+            out += (c & _SLOT_MASK) % self.p * tail
+            c >>= _SLOT
+        r = 0
+        for k in range(self.d - 1, -1, -1):
+            r = (r << _SLOT) | ((out >> (_SLOT * k)) & _SLOT_MASK) % self.p
+        return r
+
+    def pow(self, a: int, e: int) -> int:
+        out = 1
+        for bit in bin(e)[2:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, a)
+        return out
+
+    def compose(self, u: int, v: int) -> int:
+        """u(v), by Horner's rule."""
+        out = 0
+        for c in reversed(self.unpack(u)):
+            out = self.mul(out, v) + c
+        return self.pack(self.unpack(out))

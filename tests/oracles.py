@@ -16,7 +16,9 @@ x_1..x_6 are defined through root differences. Writing (ij) for
 These sums are evaluated literally here, which requires the roots. The
 package itself uses coefficient formulas frozen in g2modpoly/igusa_data.py;
 this module is the independent cross-check those formulas were derived from
-and are tested against.
+and are tested against. ``field_det``, a determinant by elimination over
+any exact field, is the reference for the determinants and resultants the
+package computes in other ways.
 """
 
 from __future__ import annotations
@@ -102,3 +104,37 @@ def absolute_igusa_from_roots(roots: Sequence) -> Tuple:
     if isinstance(i10, (int, Fraction)):
         i2, i4, i6, i10 = Fraction(i2), Fraction(i4), Fraction(i6), Fraction(i10)
     return (i2**5 / i10, i2**3 * i4 / i10, i2**2 * i6 / i10)
+
+
+def field_det(rows: Sequence[Sequence]):
+    """Determinant of a square matrix over a field, by Gaussian elimination.
+
+    Entries are Fractions or ``modp.Fp2`` values, with int zeros allowed:
+    they stay ints, so no other field's arithmetic mixes in. A nonzero int
+    pivot raises TypeError, since ``1 / pivot`` would be a float. Any exact
+    elimination gives the same field element, so the result does not
+    depend on the pivot order. The tests take it as the reference for
+    determinants and resultants over Q and F_{p^2}.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    det = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        pivot = a[k]
+        if isinstance(pivot[k], int):
+            raise TypeError("field_det needs Fraction or Fp2 entries; an int is allowed only as 0")
+        det = det * pivot[k]
+        inv = 1 / pivot[k]
+        cols = [j for j in range(k + 1, n) if pivot[j]]
+        for row in a[k + 1:]:
+            if row[k]:
+                fct = row[k] * inv
+                for j in cols:
+                    row[j] = row[j] - fct * pivot[j]
+    return det

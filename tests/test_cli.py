@@ -583,6 +583,53 @@ def test_modpoly_l2_of_an_unsplit_curve_with_i2_zero(tmp_path, capsys):
     assert doc["results"]["split_locus_member"] is False
 
 
+def _long_rational(text):
+    """A ``p/q`` or ``p`` literal of any length, read 500 digits at a time
+    (``int(str)`` refuses more than 4300 digits)."""
+    def digits(t):
+        n = 0
+        for k in range(0, len(t), 500):
+            n = n * 10 ** len(t[k:k + 500]) + int(t[k:k + 500])
+        return n
+    sign = -1 if text.startswith("-") else 1
+    num, _, den = text.lstrip("-").partition("/")
+    return sign * F(digits(num), digits(den or "1"))
+
+
+def _close_pair_coeffs():
+    # roots 1/3 and 1/3 + 2^-200 beside 5/2, -2, 3 and -7/3
+    poly = [F(1)]
+    for r in (F(1, 3), F(1, 3) + F(1, 2**200), F(5, 2), F(-2), F(3), F(-7, 3)):
+        poly = [F(0)] + poly
+        for i in range(len(poly) - 1):
+            poly[i] -= r * poly[i + 1]
+    return [str(c) for c in poly]
+
+
+@pytest.mark.parametrize("command, coeffs", [
+    ("modpoly l2", _close_pair_coeffs()),
+    ("modpoly l2", [str(10**300 + 1), "3", "1", "-1", "0", "2", "1"]),
+    ("curve invariants", [str(10**1000 + 1), "3", "1", "-1", "0", "2", "1"]),
+    ("curve invariants", ["1/" + str(10**1000), "3", "1", "-1", "0", "2", "1"]),
+], ids=["l2-close-pair", "l2-1e300", "invariants-1e1000", "invariants-1e-1000"])
+def test_exact_values_of_more_than_4300_digits_are_printed(tmp_path, command, coeffs, capsys):
+    # these valid curves exited 3 ("invalid input: Exceeds the limit (4300
+    # digits) for integer string conversion") before format_rational
+    # converted long ints itself
+    path = _write_json(tmp_path / "long.json", {"f": coeffs})
+    code, doc, _ = _report([*command.split(), "--in", path], capsys)
+    assert code == 0
+    curve = g2curve.validate_curve(coeffs)
+    if command == "modpoly l2":
+        want = [modpoly.l2_evaluate(g2curve.absolute_igusa(curve))]
+        got = [doc["results"]["value"]]
+    else:
+        want = [*g2curve.igusa_clebsch(curve), *g2curve.absolute_igusa(curve)]
+        got = doc["results"]["igusa_clebsch"] + doc["results"]["absolute"]
+    assert max(len(text) for text in got) > 4300
+    assert [_long_rational(text) for text in got] == want
+
+
 def test_modpoly_l2_requires_a_point_or_a_curve(capsys):
     code, out, err = _run(["modpoly", "l2", "--j1", "1"], capsys)
     assert code == 3

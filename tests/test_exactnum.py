@@ -1,5 +1,6 @@
 """Exact scalar layer: parsing, precision plumbing, reconstruction, linear algebra."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from g2modpoly.exactnum import (
     ComplexPoly,
     bareiss_det,
     complex_to_pair,
-    field_det,
     first_largest_modulus,
     format_rational,
     fraction_to_mpf,
@@ -30,6 +30,8 @@ from g2modpoly.exactnum import (
     to_mpc,
     tolerance,
 )
+
+from oracles import field_det
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
 small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
@@ -55,6 +57,27 @@ def test_parse_rational_rejects_garbage():
 @given(rationals)
 def test_format_parse_roundtrip(q):
     assert parse_rational(format_rational(q)) == q
+
+
+def test_format_rational_prints_ints_of_any_length():
+    # str() refuses an int of more than sys.get_int_max_str_digits() digits
+    limit = sys.get_int_max_str_digits()
+    for q in (Fraction(10**5000 + 7), Fraction(-(3**20000)), Fraction(2**2000), Fraction(2**1999 - 1),
+              Fraction(10**601 - 1), Fraction(12345 * 10**4400 + 1, 7**6000), Fraction(-1, 10**4301)):
+        text = format_rational(q)
+        num, _, den = text.lstrip("-").partition("/")
+        assert text.startswith("-") == (q < 0)
+        assert num[0] != "0" and (not den or den[0] != "0")
+        assert [_int_from_digits(num), _int_from_digits(den or "1")] == \
+            [abs(q.numerator), q.denominator]
+    assert sys.get_int_max_str_digits() == limit
+
+
+def _int_from_digits(digits):
+    n = 0
+    for k in range(0, len(digits), 500):
+        n = n * 10 ** len(digits[k:k + 500]) + int(digits[k:k + 500])
+    return n
 
 
 def test_tolerance_is_half_the_precision():

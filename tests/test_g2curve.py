@@ -8,7 +8,7 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import libmpc, libmpf
 
 from g2modpoly import g2curve, modp
-from g2modpoly.exactnum import WORK_GUARD, field_det, mpf_to_fraction, to_mpc, tolerance
+from g2modpoly.exactnum import WORK_GUARD, mpf_to_fraction, to_mpc, tolerance
 from g2modpoly.g2curve import (
     _I10_D_WEIGHT,
     _TOP_POWER,
@@ -31,7 +31,7 @@ from g2modpoly.g2curve import (
 from g2modpoly.igusa_data import I2_TERMS, I4_TERMS, I6_TERMS
 from g2modpoly.richelot import enumerate_factorizations, richelot_image
 
-from oracles import absolute_igusa_from_roots, coeffs_from_roots, igusa_clebsch_from_roots
+from oracles import absolute_igusa_from_roots, coeffs_from_roots, field_det, igusa_clebsch_from_roots
 
 F = Fraction
 
@@ -145,34 +145,27 @@ def test_the_d_weights_of_the_invariants():
 
 def test_rational_curves_take_the_integer_determinant(monkeypatch):
     # validate_curve, igusa_clebsch and absolute_igusa of a rational curve
-    # run over ints on the integral model; only F_{p^2} eliminates in a field
-    seen = {"field": [], "bareiss": []}
-
-    def field_spy(rows):
-        seen["field"].append([x for row in rows for x in row])
-        return raw_field(rows)
+    # run over ints on the integral model; no determinant is taken in a
+    # field, and modp takes its images' I10 in closed form
+    assert not hasattr(g2curve, "field_det")
+    seen = []
 
     def bareiss_spy(rows):
-        seen["bareiss"].append([x for row in rows for x in row])
+        seen.append([x for row in rows for x in row])
         return raw_bareiss(rows)
 
-    raw_field, raw_bareiss = g2curve.field_det, g2curve.bareiss_det
-    monkeypatch.setattr(g2curve, "field_det", field_spy)
+    raw_bareiss = g2curve.bareiss_det
     monkeypatch.setattr(g2curve, "bareiss_det", bareiss_spy)
     coeffs = ["3/4", "-1/6", "2", "5/9", "0", "-7/2", "1"]
     c = validate_curve(coeffs)
     igusa_clebsch(c)
     absolute_igusa(c)
-    assert seen["field"] == []
-    assert len(seen["bareiss"]) == 3
-    assert all(type(x) is int for entries in seen["bareiss"] for x in entries)
+    assert len(seen) == 3
+    assert all(type(x) is int for entries in seen for x in entries)
 
     assert any(modp.p2_mod_p([modp._reduce(v, p) for v in c.coeffs], p) is not None
                for p in modp._candidate_primes())
-    assert len(seen["field"]) > 0
-    assert all(isinstance(x, modp.Fp2) or (type(x) is int and x == 0)
-               for entries in seen["field"] for x in entries)
-    assert len(seen["bareiss"]) == 3
+    assert len(seen) == 3
 
 
 def test_frozen_values_for_x6_plus_1():

@@ -10,9 +10,9 @@ from mpmath import mp, mpc, mpf
 
 from g2modpoly.exactnum import (
     ComplexPoly,
-    field_det,
     horner,
     mpf_to_fraction,
+    poly_from_roots,
     poly_mul,
     to_mpc,
     tolerance,
@@ -33,7 +33,16 @@ from g2modpoly.modpoly import (
     l2_evaluate,
 )
 from g2modpoly.igusa_data import I2_TERMS, I4_TERMS, I6_TERMS
-from g2modpoly.richelot import all_isogenous_invariants
+from g2modpoly.richelot import (
+    MOVE_SHIFTS,
+    all_isogenous_invariants,
+    image_sextic,
+    moved_model,
+    pair_partitions_of_six,
+    richelot_delta,
+)
+
+from oracles import field_det
 
 F = Fraction
 
@@ -403,6 +412,158 @@ def test_mod_p_check_skips_a_prime_where_f_is_inseparable():
     assert modp.check_mod_p(c, [v.re for v in p2]) == q
 
 
+def _quad(r, s):
+    return (r * s, -(r + s), 1)
+
+
+def _root_solving(fn):
+    """The x in [0, 2^61 - 1) with fn(x) = 0 mod 2^61 - 1, for fn affine in x."""
+    top = modp.TOP_PRIME
+    return -fn(0) * pow(fn(1) - fn(0), -1, top) % top
+
+
+def _exact_p2(roots):
+    """P2 over Q of the curve with these rational roots, whose images are
+    rational: the exact j1 of each image's (moved) monic model."""
+    j1s = []
+    for pairing in pair_partitions_of_six():
+        g = image_sextic([_quad(F(roots[i]), F(roots[j])) for i, j in pairing])
+        if g[6] == 0:
+            g = moved_model(g, next(t for t in MOVE_SHIFTS if horner(g, t)))
+        j1s.append(g2curve.absolute_j1(Genus2Curve(tuple(x / g[6] for x in g))))
+    return poly_from_roots(j1s, F(1))
+
+
+def test_mod_p_check_skips_a_prime_with_a_degenerate_image():
+    # integer roots in [0, 2^61 - 1) whose last one makes delta of
+    # ((r1, r2), (r3, r4), (r5, r6)) vanish mod 2^61 - 1 (delta is affine in
+    # r6): that image's I10 vanishes there too, so the prime is unusable,
+    # and P2 over Q passes at the next prime
+    top = modp.TOP_PRIME
+    roots = [1, 2, 3, 5, 7]
+    roots.append(_root_solving(lambda x: richelot_delta(
+        [_quad(roots[0], roots[1]), _quad(roots[2], roots[3]), _quad(roots[4], x)])))
+    c = curve(*_roots_poly(*roots))
+    lifted = [modp.Fp2(r, 0, top) for r in roots]
+    assert modp._image_j1([_quad(*lifted[0:2]), _quad(*lifted[2:4]), _quad(*lifted[4:6])]) is None
+    assert modp.p2_mod_p([modp._reduce(v, top) for v in c.coeffs], top) is None
+    primes = modp._candidate_primes()
+    assert next(primes) == top
+    q = next(primes)
+    p2 = _exact_p2(roots)
+    assert modp.check_mod_p(c, p2) == q
+    # as ints, with no denominator to skip on, its values mod q reach the
+    # degenerate image at 2^61 - 1 first
+    assert modp.check_mod_p(c, [modp._reduce(v, q) for v in p2]) == q
+
+
+def _naive_powmod(u, e, m, p):
+    """u^e mod monic m over F_p: square and multiply on coefficient lists,
+    with ``poly_mul`` and long division."""
+    def mulmod(a, b):
+        r = [x % p for x in poly_mul(a, b)]
+        d = len(m) - 1
+        for top in range(len(r) - 1, d - 1, -1):
+            c = r[top]
+            for k in range(d + 1):
+                r[top - d + k] = (r[top - d + k] - c * m[k]) % p
+        r = r[:d]
+        while r and r[-1] == 0:
+            r.pop()
+        return r
+
+    out = mulmod([1], [1])
+    for bit in bin(e)[2:]:
+        out = mulmod(out, out)
+        if bit == "1":
+            out = mulmod(out, u)
+    return out
+
+
+@pytest.mark.parametrize("degree", [1, 2, 4, 6])
+def test_packed_powers_equal_naive_square_and_multiply(degree):
+    rng = random.Random(degree)
+    primes = modp._candidate_primes()
+    for p in (next(primes), next(primes)):
+        m = [rng.randrange(p) for _ in range(degree)] + [1]
+        ring = modp._Residues(m, p)
+        x_p = _naive_powmod([0, 1], p, m, p)
+        for u in ([0, 1], [rng.randrange(p), 1], [rng.randrange(p) for _ in range(degree)]):
+            for e in (p, (p - 1) // 2, (p * p - 1) // 2):
+                assert ring.unpack(ring.pow(ring.pack(u), e)) == _naive_powmod(u, e, m, p), (p, u, e)
+        # the split's (x + a)^((p^2 - 1)/2) as y(x^p) y, y = (x + a)^((p - 1)/2)
+        for a in (0, 1, 5):
+            y = ring.pow(ring.pack([a, 1]), (p - 1) // 2)
+            y2 = ring.mul(ring.compose(y, ring.pack(x_p)), y)
+            assert ring.unpack(y2) == _naive_powmod([a, 1], (p * p - 1) // 2, m, p)
+
+
+@pytest.mark.parametrize("coeffs", [GENERIC, DEFECT_AT_300])
+def test_every_prime_where_f_splits_over_f_p2_is_usable(coeffs):
+    # f divides x^(p^2) - x exactly at the usable primes: then the root
+    # split succeeds, also on the quadratic part, and no image degenerates
+    c = curve(*coeffs)
+    usable = 0
+    for p in list(modp._candidate_primes())[:24]:
+        f = [modp._reduce(v, p) for v in c.coeffs]
+        splits = _naive_powmod([0, 1], p * p, f, p) == [0, 1]
+        assert (modp.p2_mod_p(f, p) is not None) == splits, p
+        usable += splits
+    assert usable >= 2
+
+
+def test_the_closed_form_image_i10_is_the_sylvester_determinant(monkeypatch):
+    # j1 of _image_j1 against I2^5 / I10 with I10 = -det of the Sylvester
+    # matrix of the monic image, on random images over F_{p^2}; r1 + r2 =
+    # r3 + r4 gives [A, B] degree < 2, and the model is moved, while the
+    # closed form takes the brackets as they are
+    moved = []
+
+    def spy(g, t):
+        moved.append(t)
+        return raw(g, t)
+
+    raw = modp.moved_model
+    monkeypatch.setattr(modp, "moved_model", spy)
+    rng = random.Random(3)
+    primes = modp._candidate_primes()
+    for p in (next(primes), next(primes)):
+        for k in range(20):
+            r = [modp.Fp2(rng.randrange(p), rng.randrange(p), p) for _ in range(6)]
+            if k % 2:
+                r[3] = r[0] + r[1] - r[2]
+            quads = [_quad(r[0], r[1]), _quad(r[2], r[3]), _quad(r[4], r[5])]
+            g = image_sextic(quads)
+            if not g[6]:
+                g = moved_model(g, next(t for t in MOVE_SHIFTS if horner(g, t)))
+            monic = [x / g[6] for x in g]
+            i2 = g2curve._eval_terms(I2_TERMS, [g2curve._power_table(x, 2) for x in monic[:6]])
+            i10 = -field_det(g2curve._sylvester_f_fprime(monic, 0))
+            assert i2 and i10
+            before = len(moved)
+            assert modp._image_j1(quads) == i2 * i2 * i2 * i2 * i2 / i10
+            assert len(moved) - before == k % 2
+
+
+def test_candidate_primes_are_found_once_and_capped(monkeypatch):
+    fresh, n = [], modp.TOP_PRIME
+    while len(fresh) < modp.PRIME_CANDIDATES:
+        if modp._is_prime(n):
+            fresh.append(n)
+        n -= 4
+    assert list(modp._candidate_primes()) == fresh
+    # a reader searches only as far as it reads, each prime once, and the
+    # cap is read at each call
+    modp._candidate_prime.cache_clear()
+    assert next(modp._candidate_primes()) == fresh[0]
+    assert modp._candidate_prime.cache_info().currsize == 1
+    for cap, known in ((3, 3), (5, 5), (2, 5), (0, 5)):
+        monkeypatch.setattr(modp, "PRIME_CANDIDATES", cap)
+        assert list(modp._candidate_primes()) == fresh[:cap]
+        info = modp._candidate_prime.cache_info()
+        assert info.currsize == info.misses == known
+
+
 def test_fp2_elements_compare_by_value():
     p = 7
     assert modp.Fp2(1, 0, p) == modp.Fp2(1, 0, p)
@@ -418,8 +579,9 @@ def test_fp2_elements_compare_by_value():
 
 @pytest.mark.parametrize("coeffs", [GENERIC, _roots_poly(0, 1, 2, 3, 5, 6)])
 def test_the_exact_evaluation_over_f_p2_is_the_reduction_of_the_one_over_q(coeffs):
-    # at the curve's first usable prime the Igusa-Clebsch values and a
-    # determinant computed over F_{p^2} reduce those computed over Q
+    # at the curve's first usable prime the frozen tables and the Sylvester
+    # I10 evaluated over F_{p^2}, and a determinant computed there, reduce
+    # those computed over Q
     c = curve(*coeffs)
     p = next(p for p in modp._candidate_primes()
              if modp.p2_mod_p([modp._reduce(v, p) for v in c.coeffs], p) is not None)
@@ -427,8 +589,10 @@ def test_the_exact_evaluation_over_f_p2_is_the_reduction_of_the_one_over_q(coeff
     def lift(rows):
         return [[modp.Fp2(modp._reduce(x, p), 0, p) if x else 0 for x in row] for row in rows]
 
-    got = g2curve.exact_clebsch(lift([c.coeffs])[0], (I2_TERMS, I4_TERMS, I6_TERMS),
-                                g2curve._TOP_POWER)
+    f = lift([c.coeffs])[0]
+    tables = [g2curve._power_table(x, g2curve._TOP_POWER) for x in f[:6]]
+    got = [g2curve._eval_terms(t, tables) for t in (I2_TERMS, I4_TERMS, I6_TERMS)]
+    got.append(-field_det(g2curve._sylvester_f_fprime(f, 0)))
     want = [modp._reduce(v, p) for v in g2curve.igusa_clebsch(c)]
     assert [(v.re, v.im) for v in got] == [(w, 0) for w in want]
 

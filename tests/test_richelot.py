@@ -11,7 +11,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 
-from g2modpoly.exactnum import WORK_GUARD, PrecisionError, field_det, poly_mul, to_mpc, tolerance
+from g2modpoly.exactnum import WORK_GUARD, PrecisionError, poly_mul, to_mpc, tolerance
 from g2modpoly import richelot
 from g2modpoly.g2curve import Genus2Curve, absolute_igusa
 from g2modpoly.richelot import (
@@ -26,7 +26,7 @@ from g2modpoly.richelot import (
     richelot_image,
 )
 
-from oracles import coeffs_from_roots
+from oracles import coeffs_from_roots, field_det
 
 F = Fraction
 PREC = 300
