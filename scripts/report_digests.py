@@ -19,7 +19,11 @@ non-integral models are compared too. It prints the sha256 of the raw
 mpmath tuples (``_mpf_``) of every coefficient of ``evaluated_P2(c,
 300).p2`` over the same curves, or of the exception's name for a curve
 that is refused, so the float P2 is compared bit for bit and not only to
-the printed digits. It prints the same digest of the six roots
+the printed digits. It prints the same digest of the elimination
+``g2curve._resultant_f_fprime`` over every image that ``richelot_image``
+gives of the same curves at 300 bits and of the first ``--recon`` curves
+at 2400 bits, so the float I10 of the images is compared bit for bit on
+its own. It prints the same digest of the six roots
 ``complex_roots`` gives at 300 and at 2400 bits over the same curves, and
 over a fixed set of close pairs, marked ``cluster`` (roots b, b + 2^-g,
 5/2, -2, 3, -7/3 for b in {1/3, 2/7} and g in {12, 16, 20, 24, 40, 80}),
@@ -98,6 +102,13 @@ def p2_coeffs(curve, prec):
     return modpoly.evaluated_P2(curve, prec).p2.coeffs
 
 
+def image_resultants(curve, prec):
+    """Res(f, f') of each image of ``curve`` that is not split, at ``prec``."""
+    steps = map(richelot.richelot_image, richelot.enumerate_factorizations(curve, prec))
+    return [g2curve._resultant_f_fprime(s.image.coeffs, prec)
+            for s in steps if s.image is not None]
+
+
 def ladder_digests(curves):
     """sha256 of ``(prec, rational_p2)`` per curve, and of the prime at which
     ``check_mod_p`` certifies those rationals (None for a refused curve)."""
@@ -132,6 +143,9 @@ def main(argv=None):
             for command in COMMANDS:
                 print(f"{label}{' '.join(command)}: {report_digest(command, paths)}")
     print(f"evaluated_P2 300 bits: {bits_digest(p2_coeffs, curves[:args.curves], 300)}")
+    elimination = (bits_digest(image_resultants, curves[:args.curves], 300)
+                   + bits_digest(image_resultants, curves[:args.recon], 2400))
+    print(f"elimination 300 and 2400 bits: {hashlib.sha256(elimination.encode()).hexdigest()}")
     for label, chosen in (("", curves[:args.curves]), ("cluster ", CLUSTERS)):
         for prec in (300, 2400):
             print(f"{label}complex_roots {prec} bits: "

@@ -45,6 +45,7 @@ from .exactnum import (
     negligible,
     parse_rational,
     relative_deviation,
+    str_to_int,
     to_mpc,
     tolerance,
 )
@@ -65,7 +66,7 @@ def _check(name: str, passed: bool, detail: str) -> Check:
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_int=str_to_int)
 
 
 def _matrix_rows(doc, size: int = 4) -> Tuple[Tuple[int, ...], ...]:
@@ -90,7 +91,7 @@ def _rational_list(values, what: str) -> List[Fraction]:
     """Parse a JSON list of rationals; anything but a list is refused."""
     if not isinstance(values, list):
         raise ValueError(f"{what} must be a list")
-    return [parse_rational(str(x)) for x in values]
+    return [Fraction(x) if type(x) is int else parse_rational(str(x)) for x in values]
 
 
 def _matrix_doc(rows: Sequence[Sequence[int]]) -> List[List[str]]:

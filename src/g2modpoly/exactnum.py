@@ -4,7 +4,7 @@ Everything downstream (symplectic matrices, Siegel points, Fourier series,
 curve invariants, evaluated modular polynomials) is built on three ingredients
 collected here:
 
-* rationals: ``fractions.Fraction`` with ``p/q`` string (de)serialization,
+* rationals: ``fractions.Fraction`` with ``p/q`` string (de)serialization of any length,
 * dense univariate polynomials as coefficient lists over any ring:
   ``poly_mul``, ``poly_from_roots`` and ``horner`` are the package's only
   polynomial arithmetic, over Fractions, mpc values and F_{p^2} alike;
@@ -31,9 +31,10 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import functools
 import math
+import re
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import fzero, mpc_abs, mpf_add, mpf_cmp, mpf_mul, mpf_shift, mpf_sub, round_nearest
+from mpmath.libmp import from_man_exp, mpc_abs, mpf_cmp, round_nearest
 
 Scalar = Union[Fraction, int, mpc, mpf]
 # what the tolerance tests take: a Fraction does not compare with an mpf
@@ -56,15 +57,33 @@ class PrecisionError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 
+_RATIONAL_LITERAL = r"([+-]?[0-9]+)(?:/([0-9]+))?"
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` (optionally signed) into a Fraction."""
+    """Parse ``"p/q"`` or ``"p"`` (optionally signed) into a Fraction; their
+    digits may be of any length (``str_to_int``)."""
     s = text.strip()
     if not s:
         raise ValueError("empty rational literal")
     try:
+        if literal := re.fullmatch(_RATIONAL_LITERAL, s):
+            return Fraction(str_to_int(literal[1]), str_to_int(literal[2] or "1"))
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational literal {text!r}") from exc
+
+
+def str_to_int(text: str) -> int:
+    """int(text) past ``sys.get_int_max_str_digits()``, the reverse of
+    ``_int_to_str``, for text ``[+-]?[0-9]+`` (as ``parse_rational`` and the
+    JSON number syntax give it): 600 digits or more are read in halves."""
+    digits = text.lstrip("+-")
+    if len(digits) < 600:
+        return int(text)
+    half = len(digits) // 2
+    value = str_to_int(digits[:half]) * 10 ** (len(digits) - half) + str_to_int(digits[half:])
+    return -value if text[0] == "-" else value
 
 
 def format_rational(q: Fraction) -> str:
@@ -176,34 +195,39 @@ def negligible(x: MpScalar, prec: int, scale: Iterable[MpScalar] = (), power: in
     return abs(x) <= tolerance(prec) * magnitude(scale) ** power
 
 
-def first_largest_modulus(zs: Sequence[tuple], prec: int) -> int:
-    """Index of the first raw mpc value (``_mpc_`` tuple) in ``zs`` with the
-    largest modulus rounded to ``prec`` bits, as
-    ``max(range(len(zs)), key=lambda i: abs(zs[i]))`` picks it at ``prec``.
+def mpc_to_pairs(z: mpc) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """The parts of a finite mpc as signed int pairs (m, e), each m * 2**e."""
+    if any(not man and bc for _, man, _, bc in z._mpc_):     # inf and NaN: no mantissa, nonzero bc
+        raise ValueError(f"{z} is not a finite number")
+    return tuple((-int(man) if sign else int(man), int(exp)) for sign, man, exp, _ in z._mpc_)
 
-    Ranked by the exact norms re**2 + im**2; rounded ``abs`` is taken
-    only for the entries whose norms lie within 2**(4-prec) of the
-    largest, the only ones that can tie with it (the proof is in
+
+def first_largest_modulus(zs: Sequence[tuple], prec: int) -> int:
+    """Index of the first value in ``zs`` (``mpc_to_pairs``) with the largest
+    modulus rounded to ``prec`` bits, as ``max(range(len(zs)), key=lambda
+    i: abs(zs[i]))`` picks it at ``prec``.
+
+    Ranked by the exact norms re**2 + im**2; rounded ``abs`` is taken only
+    for the entries whose norms lie within 2**(4-prec) of the largest, the
+    only ones that can tie with it (the proof is in
     ``g2curve._resultant_f_fprime``, the pivot search this serves).
     """
-    norms = [mpf_add(mpf_mul(re, re), mpf_mul(im, im)) for re, im in zs]
-    top = 0
-    for i in range(1, len(norms)):
-        if mpf_cmp(norms[i], norms[top]) > 0:
-            top = i
-    largest = norms[top]
-    if largest == fzero:
-        return top
-    # a norm below 2**(b-2), where 2**(b-1) <= largest, is outside the margin
-    low = largest[2] + largest[3] - 1
-    near = mpf_shift(largest, 4 - prec)
-    close = [i for i, n in enumerate(norms)
-             if n[2] + n[3] >= low and mpf_cmp(mpf_sub(largest, n), near) <= 0]
-    if len(close) == 1:
-        return top
+    norms = []
+    for (am, ae), (bm, be) in zs:
+        if not am or (bm and ae > be):
+            am, ae, bm, be = bm, be, am, ae
+        norms.append((am * am + (bm * bm << 2 * (be - ae)) if bm else am * am, 2 * ae))
+    # a norm whose top is 2 below the largest's is less than half of it: set to 0
+    top = max((e + n.bit_length() for n, e in norms if n), default=0)
+    low = min((e for n, e in norms if n and e + n.bit_length() >= top - 1), default=0)
+    norms = [n << (e - low) if n and e + n.bit_length() >= top - 1 else 0 for n, e in norms]
+    largest = max(norms)
+    close = [i for i, n in enumerate(norms) if (largest - n) << prec <= largest << 4]
+    if len(close) == 1 or not largest:
+        return close[0]
     best, best_abs = None, None
     for i in close:
-        modulus = mpc_abs(zs[i], prec, round_nearest)
+        modulus = mpc_abs(tuple(from_man_exp(m, e) for m, e in zs[i]), prec, round_nearest)
         if best is None or mpf_cmp(modulus, best_abs) > 0:
             best, best_abs = i, modulus
     return best

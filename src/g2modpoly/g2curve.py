@@ -15,12 +15,13 @@ Invariants come in two flavours:
   integer coefficient formulas (igusa_data.py) over one power table
   [1, c, ..., c^4] per coefficient, shared by all three; for complex
   coefficients each power is multiplied out exactly and rounded once at
-  the working precision. I10 comes from a Sylvester resultant. For a
-  rational curve all four come from ``exact_clebsch``: the curve is
-  first moved to its integral model D^6 f(x/D), D the least common
-  denominator, where the tables and I10 (``exactnum.bareiss_det`` of the
-  integer Sylvester matrix) are evaluated over ints and then divided by
-  the power of D that the model change multiplied them by. ``modp``
+  the working precision. I10 = -Res(f, f') comes from an elimination that
+  rounds as mpmath's mpc operators (``_resultant_f_fprime``). For a rational
+  curve all four come from ``exact_clebsch``: the curve is first moved to
+  its integral model D^6 f(x/D), D the least common denominator, where the
+  tables and I10 (``exactnum.bareiss_det`` of the integer Sylvester matrix)
+  are evaluated over ints and then divided by the power of D that the
+  model change multiplied them by. ``modp``
   evaluates the I2 table over F_{p^2} with the same ``_eval_terms`` and
   takes I10 from the brackets in closed form.
 * ``absolute_igusa``: the weight-zero triple
@@ -48,7 +49,7 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from mpmath import mp, mpc
-from mpmath.libmp import fone, fzero, mpc_div, mpc_mul, mpc_neg, mpc_sub, round_nearest
+from mpmath.libmp import from_man_exp
 
 from .exactnum import (
     DEFAULT_PREC,
@@ -57,9 +58,11 @@ from .exactnum import (
     bareiss_det,
     first_largest_modulus,
     format_rational,
+    mpc_to_pairs,
     negligible,
     parse_rational,
     poly_mul,
+    str_to_int,
     to_mpc,
 )
 from .igusa_data import I2_TERMS, I4_TERMS, I6_TERMS
@@ -195,18 +198,73 @@ def _sylvester_f_fprime(coeffs: Sequence, zero) -> List[list]:
     return a
 
 
+def _rounded_sum(xm: int, xe: int, ym: int, ye: int, prec: int, down: bool) -> Tuple[int, int]:
+    """``mpf_add`` of xm * 2**xe and ym * 2**ye at ``prec`` bits, bit for bit:
+    the sum rounded toward zero when ``down``, else to nearest, ties to even.
+    On mpmath's perturbed path (tops more than prec + 4 apart and odd
+    mantissas' exponents more than 100) the larger term is moved one unit
+    below its last bit toward the other and rounded, which is not always the
+    rounded sum; how far below does not change the rounding."""
+    if xm and ym:
+        gap = xe + xm.bit_length() - ye - ym.bit_length()
+        if gap < -prec - 4:
+            xm, xe, ym, ye, gap = ym, ye, xm, xe, -gap
+        if gap > prec + 4 and xe + (xm & -xm).bit_length() - ye - (ym & -ym).bit_length() > 100:
+            xm, xe, ym, ye = xm << prec + 4, xe - prec - 4, 1 if ym > 0 else -1, xe - prec - 4
+        e = xe if xe < ye else ye
+        m = (xm << xe - e) + (ym << ye - e)
+    else:
+        m, e = xm + ym, xe if xm else ye
+    n = m.bit_length() - prec
+    if n <= 0:
+        return m, e
+    if down:
+        return (m >> n if m > 0 else -(-m >> n)), e + n
+    t = m >> (n - 1)
+    if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
+        return (t >> 1) + 1, e + n
+    return t >> 1, e + n
+
+
+def _rounded_quotient(sm: int, se: int, tm: int, te: int, prec: int) -> Tuple[int, int]:
+    """(sm * 2**se) / (tm * 2**te), tm > 0, rounded to nearest as ``mpf_div``:
+    a quotient of prec + 2 bits or more, a sticky bit for a remainder, rounded once."""
+    shift = max(prec + 2 + tm.bit_length() - sm.bit_length(), 0)
+    q, r = divmod(abs(sm) << shift, tm)
+    q = q << 1 | (r > 0)
+    return _rounded_sum(-q if sm < 0 else q, se - te - shift - 1, 0, 0, prec, False)
+
+
+def _quotient(z: tuple, w: tuple, norm: Tuple[int, int], prec: int) -> tuple:
+    """``mpc_div(z, w, prec, round_nearest)`` given ``norm``: |w|**2, ac + bd and
+    bc - ad rounded down at prec + 10 bits, then divided to nearest."""
+    (am, ae), (bm, be) = z
+    (cm, ce), (dm, de) = w
+    t = _rounded_sum(am * cm, ae + ce, bm * dm, be + de, prec + 10, True)
+    u = _rounded_sum(bm * cm, be + ce, -am * dm, ae + de, prec + 10, True)
+    return _rounded_quotient(*t, *norm, prec), _rounded_quotient(*u, *norm, prec)
+
+
+def _product(z: tuple, w: tuple, prec: int) -> tuple:
+    """``mpc_mul`` to nearest at ``prec`` bits: ac - bd and ad + bc of exact products."""
+    (am, ae), (bm, be) = z
+    (cm, ce), (dm, de) = w
+    return (_rounded_sum(am * cm, ae + ce, -bm * dm, be + de, prec, False),
+            _rounded_sum(am * dm, ae + de, bm * cm, be + ce, prec, False))
+
+
 def _resultant_f_fprime(coeffs: Sequence[Scalar], prec: int) -> mpc:
     """Res(f, f') for monic sextic f with complex coefficients, constant first.
 
-    Gaussian elimination of the 11x11 Sylvester matrix at
-    ``work = prec + WORK_GUARD`` bits on raw ``_mpc_`` tuples, with the
-    libmpc operations the mpc operators call, at the same precision and
-    rounding, so that every entry keeps its bits. Only the columns
-    k+1..10 of the rows below the pivot are updated (no later step reads
-    the others), and an update x - fct*y by an exact zero y is skipped:
-    its result is x rounded to ``work`` bits, which is x itself when no
-    coefficient carries more bits, as for every Richelot image;
-    otherwise nothing is skipped.
+    Gaussian elimination of the 11x11 Sylvester matrix at ``work = prec +
+    WORK_GUARD`` bits on (mantissa, exponent) int pairs, each operation
+    rounded bit for bit as the mpc operators ``mpc_mul``, ``mpc_sub`` and
+    ``mpc_div`` round it (|pivot|**2 taken once per column). Only the
+    columns k+1..10 of the rows below the pivot are updated (no later step
+    reads the others), and an update x - fct*y by an exact zero y is
+    skipped: it rounds x to ``work`` bits, which leaves x as it is unless a
+    coefficient carries more bits (never for a Richelot image), and then
+    nothing is skipped.
 
     Column k's pivot is ``max(range(k, 11), key=lambda i: abs(a[i][k]))``:
     the first row with the largest rounded modulus. ``first_largest_modulus``
@@ -224,27 +282,32 @@ def _resultant_f_fprime(coeffs: Sequence[Scalar], prec: int) -> mpc:
     work = prec + WORK_GUARD
     with mp.workprec(work):
         a = _sylvester_f_fprime([to_mpc(c, work) for c in coeffs], mpc(0))
-    a = [[z._mpc_ for z in row] for row in a]
-    zero = (fzero, fzero)
-    skip_zero = all(part[3] <= work for z in a[0] for part in z)
-    rnd = round_nearest
-    det = (fone, fzero)
+    pairs = {id(z): z for row in a for z in row}    # 14 values among the 121 entries
+    pairs = {key: mpc_to_pairs(z) for key, z in pairs.items()}
+    a = [[pairs[id(z)] for z in row] for row in a]
+    skip_zero = all(m.bit_length() <= work for z in a[0] for m, _ in z)
+    det = ((1, 0), (0, 0))
     for k in range(size):
         piv = k + first_largest_modulus([a[i][k] for i in range(k, size)], work)
-        if a[piv][k] == zero:
+        (cm, ce), (dm, de) = a[piv][k]
+        if not (cm or dm):
             return mpc(0)
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
-            det = mpc_neg(det, work, rnd)
+            det = tuple((-m, e) for m, e in det)
         pivot = a[k]
-        det = mpc_mul(det, pivot[k], work, rnd)
-        cols = [j for j in range(k + 1, size) if not (skip_zero and pivot[j] == zero)]
+        det = _product(det, pivot[k], work)
+        norm = _rounded_sum(cm * cm, 2 * ce, dm * dm, 2 * de, work + 10, True)
+        cols = [j for j in range(k + 1, size) if not skip_zero or pivot[j][0][0] or pivot[j][1][0]]
         for row in a[k + 1:]:
-            if row[k] != zero:
-                fct = mpc_div(row[k], pivot[k], work, rnd)
+            if row[k][0][0] or row[k][1][0]:
+                fct = _quotient(row[k], pivot[k], norm, work)
                 for j in cols:
-                    row[j] = mpc_sub(row[j], mpc_mul(fct, pivot[j], work, rnd), work, rnd)
-    return mp.make_mpc(det)
+                    (xm, xe), (ym, ye) = row[j]
+                    (pm, pe), (qm, qe) = _product(fct, pivot[j], work)
+                    row[j] = (_rounded_sum(xm, xe, -pm, pe, work, False),
+                              _rounded_sum(ym, ye, -qm, qe, work, False))
+    return mp.make_mpc(tuple(from_man_exp(m, e) for m, e in det))
 
 
 def igusa_clebsch(curve: Genus2Curve) -> Tuple[Scalar, Scalar, Scalar, Scalar]:
@@ -376,9 +439,9 @@ def curve_to_json(curve: Genus2Curve) -> dict:
 def curve_from_json(doc: dict) -> Genus2Curve:
     if not isinstance(doc, dict) or not isinstance(doc.get("f"), list):
         raise ValueError('curve JSON must be an object with an "f" list')
-    return validate_curve([str(c) for c in doc["f"]])
+    return validate_curve([c if type(c) is int else str(c) for c in doc["f"]])
 
 
 def load_curve(path: str) -> Genus2Curve:
     with open(path) as fh:
-        return curve_from_json(json.load(fh))
+        return curve_from_json(json.load(fh, parse_int=str_to_int))

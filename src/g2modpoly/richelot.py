@@ -42,6 +42,7 @@ from .exactnum import (
     first_largest_modulus,
     horner,
     magnitude,
+    mpc_to_pairs,
     negligible,
     poly_mul,
     to_mpc,
@@ -399,7 +400,7 @@ def _restore_degree(g: Sequence[mpc], prec: int) -> Tuple[mpc, ...]:
     the elimination's pivot), refused when that |g(t)| is negligible.
     """
     values = [horner(g, mpc(t)) for t in MOVE_SHIFTS]
-    best = first_largest_modulus([v._mpc_ for v in values], mp.prec)
+    best = first_largest_modulus([mpc_to_pairs(v) for v in values], mp.prec)
     if negligible(values[best], prec, g):
         raise PrecisionError("could not renormalize a degenerate image model")
     return moved_model(g, mpc(MOVE_SHIFTS[best]))

@@ -630,6 +630,22 @@ def test_exact_values_of_more_than_4300_digits_are_printed(tmp_path, command, co
     assert [_long_rational(text) for text in got] == want
 
 
+@pytest.mark.parametrize("form", ["string", "number"])
+def test_input_literals_of_more_than_4300_digits_are_read(tmp_path, form, capsys):
+    # both exited 3 before parse_rational and the JSON loaders read long
+    # digit strings themselves: the string with "bad rational literal" and
+    # all its digits, the JSON number with "Exceeds the limit (4300 digits)"
+    literal = "1" + "0" * 4999 + "1"
+    path = tmp_path / "long.json"
+    rest = ["3", "1", "-1", "0", "2", "1"]
+    path.write_text(json.dumps({"f": [literal, *rest]}) if form == "string" else
+                    '{"f": [' + ", ".join([literal, *rest]) + "]}\n")
+    code, doc, _ = _report(["curve", "validate", "--in", str(path)], capsys)
+    assert code == 0
+    assert doc["results"]["f"] == [literal, *rest]
+    assert _long_rational(doc["results"]["f"][0]) == 10**5000 + 1
+
+
 def test_modpoly_l2_requires_a_point_or_a_curve(capsys):
     code, out, err = _run(["modpoly", "l2", "--j1", "1"], capsys)
     assert code == 3

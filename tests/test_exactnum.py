@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import mpc_abs
 
+from g2modpoly import exactnum
 from g2modpoly.exactnum import (
     ComplexPoly,
     bareiss_det,
@@ -16,6 +18,7 @@ from g2modpoly.exactnum import (
     format_rational,
     fraction_to_mpf,
     horner,
+    mpc_to_pairs,
     mpf_to_fraction,
     mpf_to_str,
     negligible,
@@ -70,6 +73,22 @@ def test_format_rational_prints_ints_of_any_length():
         assert num[0] != "0" and (not den or den[0] != "0")
         assert [_int_from_digits(num), _int_from_digits(den or "1")] == \
             [abs(q.numerator), q.denominator]
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_parse_rational_reads_literals_of_any_length():
+    # Fraction(str) refuses more than sys.get_int_max_str_digits() digits
+    limit = sys.get_int_max_str_digits()
+    for q in (Fraction(10**5000 + 7), Fraction(-(3**20000)), Fraction(2**1999 - 1),
+              Fraction(12345 * 10**4400 + 1, 7**6000), Fraction(-1, 10**4301)):
+        text = format_rational(q)
+        assert parse_rational(text) == q
+        assert parse_rational(f" +{text.lstrip('-')} ") == abs(q)
+    assert parse_rational("0" * 5000 + "12/" + "0" * 700 + "34") == Fraction(6, 17)
+    for bad in ("1" * 700 + "x", "1" * 300 + "-" + "1" * 400, "1" * 700 + "/-3",
+                "1/" + "0" * 5000):
+        with pytest.raises(ValueError, match="bad rational literal"):
+            parse_rational(bad)
     assert sys.get_int_max_str_digits() == limit
 
 
@@ -288,11 +307,11 @@ def test_pivot_choice_matches_max_of_rounded_abs_on_near_ties(bits, re, im, exp,
         z = mpc(re, im) * (mp.sqrt(mpf(2)) + mp.pi * 1j) * mp.ldexp(mpf(1), exp)
         zs = [_variant(z, name, bits) for name in names]
         zs += [mpc(a, b) * mp.ldexp(mpf(1), exp) for a, b in others]
-    assert first_largest_modulus([v._mpc_ for v in zs], bits) == _abs_pivot(zs, bits)
+    assert first_largest_modulus([mpc_to_pairs(v) for v in zs], bits) == _abs_pivot(zs, bits)
 
 
 @pytest.mark.parametrize("bits", [364, 2464])
-def test_pivot_choice_breaks_near_ties_like_max(bits):
+def test_pivot_choice_breaks_near_ties_like_max(bits, monkeypatch):
     with mp.workprec(bits):
         z = (mp.sqrt(mpf(2)) + mp.pi * 1j) * 128
         # one ulp more in a tiny imaginary part: a larger norm, the same rounded abs
@@ -308,8 +327,19 @@ def test_pivot_choice_breaks_near_ties_like_max(bits):
         [mpc(0), _variant(z, "neg", bits), z],
     ]
     for zs in columns:
-        assert first_largest_modulus([v._mpc_ for v in zs], bits) == _abs_pivot(zs, bits)
-    assert first_largest_modulus([w._mpc_, w_up._mpc_], bits) == 0
+        assert first_largest_modulus([mpc_to_pairs(v) for v in zs], bits) == _abs_pivot(zs, bits)
+    assert first_largest_modulus([mpc_to_pairs(w), mpc_to_pairs(w_up)], bits) == 0
+    # equal exact norms: the rounded-abs comparison runs, and the first wins
+    calls = []
+    monkeypatch.setattr(exactnum, "mpc_abs", lambda *args: calls.append(args) or mpc_abs(*args))
+    tied = [mpc(3, 4), mpc(5), mpc(0, -5), mpc(-4, 3)]
+    with mp.workprec(bits):
+        tiny = [v * mp.ldexp(1, -300) for v in tied]
+    for zs in (tied[:3], tied[::-1], tiny, [tiny[2], mpc(0), tiny[0]]):
+        calls.clear()
+        got = first_largest_modulus([mpc_to_pairs(v) for v in zs], bits)
+        assert got == _abs_pivot(zs, bits) == 0
+        assert len(calls) >= 2
 
 
 @pytest.mark.parametrize("a, b, expected", [
@@ -342,6 +372,8 @@ def test_non_finite_values_have_no_rational_value(text):
         mpf_to_fraction(mpf(text))
     with pytest.raises(ValueError):
         rational_reconstruct(mpf(text), 2**64, 300)
+    with pytest.raises(ValueError):
+        mpc_to_pairs(mpc(1, text))
 
 
 @given(st.integers(-10**9, 10**9), st.integers(-40, 40))

@@ -5,7 +5,17 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import libmpc, libmpf
+from mpmath.libmp import (
+    from_man_exp,
+    libmpc,
+    libmpf,
+    mpc_div,
+    mpf_add,
+    mpf_div,
+    mpf_pos,
+    round_down,
+    round_nearest,
+)
 
 from g2modpoly import g2curve, modp
 from g2modpoly.exactnum import WORK_GUARD, mpf_to_fraction, to_mpc, tolerance
@@ -19,7 +29,10 @@ from g2modpoly.g2curve import (
     _d_weight,
     _eval_terms,
     _power_table,
+    _quotient,
     _resultant_f_fprime,
+    _rounded_quotient,
+    _rounded_sum,
     _sylvester_f_fprime,
     absolute_igusa,
     curve_from_json,
@@ -312,11 +325,12 @@ def _images(coeffs, prec):
             for triple in enumerate_factorizations(curve(*coeffs), prec)]
 
 
-@pytest.mark.parametrize("prec", [300, 4800])
+@pytest.mark.parametrize("prec", [300, 2400, 4800])
 def test_resultant_of_the_fifteen_images_is_bit_identical_to_full_row_elimination(prec):
-    # at 364 and 4864 working bits: the elimination works on raw tuples,
-    # picks pivots by exact norms, skips the columns no later step reads and
-    # the updates by an exact zero, none of which may change a single bit
+    # at 364, 2464 and 4864 working bits: the elimination works on int
+    # pairs, picks pivots by exact norms, skips the columns no later step
+    # reads and the updates by an exact zero, none of which may change a
+    # single bit
     curves = [GENERIC, MODEL_MOVE] + (DEFECT_CURVES if prec == 300 else [])
     images = [image for coeffs in curves for image in _images(coeffs, prec)]
     # coefficients with more bits than the elimination works at: nothing is skipped
@@ -325,6 +339,139 @@ def test_resultant_of_the_fifteen_images_is_bit_identical_to_full_row_eliminatio
         got = _resultant_f_fprime(image.coeffs, prec)
         want = _full_row_resultant(image.coeffs, prec)
         assert (got.real._mpf_, got.imag._mpf_) == (want.real._mpf_, want.imag._mpf_)
+
+
+def _adversarial_sextics(prec):
+    """Twenty-four monic sextics, fixed per ``prec``, whose coefficients are zero,
+    real, imaginary, complex, complex with an imaginary part 2**-100 to
+    2**-(3 prec) of the real part, or small Gaussian integers, each scaled
+    by 2**-200, 1 or 2**200; one in four has parts of more than ``work``
+    bits. Then two Gaussian-integer sextics whose elimination meets pivot
+    entries of equal exact norm, and x**6, whose Sylvester matrix meets a
+    zero pivot."""
+    rng = random.Random(prec)
+    work = prec + WORK_GUARD
+
+    def part(bits):
+        man = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        return mp.ldexp(mpf(man), rng.randrange(-bits - 4, 4 - bits))
+
+    out = []
+    with mp.workprec(4 * work):
+        for n in range(24):
+            bits = work + 40 if n % 4 == 3 else work
+            coeffs = []
+            for _ in range(6):
+                kind = rng.choice(["zero", "real", "imag", "complex", "tiny", "gauss"])
+                re, im = rng.choice([-1, 1]) * part(bits), rng.choice([-1, 1]) * part(bits)
+                z = {"zero": mpc(0), "real": mpc(re), "imag": mpc(0, im), "complex": mpc(re, im),
+                     "tiny": mpc(re, mp.ldexp(im, -rng.randrange(100, 3 * prec + 1))),
+                     "gauss": mpc(rng.randint(-3, 3), rng.randint(-3, 3))}[kind]
+                coeffs.append(z * mp.ldexp(1, rng.choice([-200, 0, 200])))
+            out.append(tuple(coeffs) + (mpc(1),))
+    out += [tuple(mpc(*z) for z in coeffs) for coeffs in (
+        ((0, 0), (0, -1), (1, 1), (0, 2), (0, 0), (0, 0), (1, 0)),
+        ((1, 1), (0, 0), (0, 0), (-2, -2), (0, -1), (0, 0), (1, 0)),
+        ((0, 0),) * 6 + ((1, 0),))]
+    return out
+
+
+@pytest.mark.parametrize("prec", [300, 301, 555, 1200, 2400])
+def test_resultant_of_adversarial_sextics_is_bit_identical_to_full_row_elimination(prec):
+    for coeffs in _adversarial_sextics(prec):
+        got = _resultant_f_fprime(coeffs, prec)
+        want = _full_row_resultant(coeffs, prec)
+        assert (got.real._mpf_, got.imag._mpf_) == (want.real._mpf_, want.imag._mpf_)
+
+
+def _takes_perturbed_path(x, y, prec):
+    """Whether ``mpf_add(x, y, prec)`` shifts the larger term up prec + 4 bits
+    and moves it one unit, instead of rounding the sum (raw mpfs)."""
+    (_, xm, xe, xb), (_, ym, ye, yb) = x, y
+    if not (xm and ym):
+        return False
+    gap = xe + xb - ye - yb
+    return (gap > prec + 4 and xe - ye > 100) or (gap < -prec - 4 and ye - xe > 100)
+
+
+def _sum_operands(rng, prec):
+    """Int pairs (x, y) around the perturbed path: tops prec + 3 to prec + 40
+    apart, odd exponents 98 to 103 (or 400) apart, the larger term of up to
+    2 prec + 3 bits often one or three units off a midpoint at ``prec``
+    bits, trailing zero bits on either term; then random pairs, zeros and
+    cancellations."""
+    cases = []
+    for _ in range(400):
+        bits = rng.choice([prec // 2, prec, prec + 5, 2 * prec, 2 * prec + 3])
+        xm = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        if bits > prec + 1 and rng.random() < 0.5:
+            drop = bits - prec
+            xm = (xm >> drop << drop | 1 << (drop - 1)) + rng.choice([-3, -1, 1, 3])
+        gap = prec + rng.choice([3, 4, 5, 6, 40])
+        ybits = max(1, rng.choice([98, 99, 100, 101, 102, 103, 400]) - gap + bits)
+        ym = rng.getrandbits(ybits) | 1 << (ybits - 1) | 1
+        xe = rng.randrange(-600, 600)
+        ye = xe + bits - gap - ybits
+        xz, yz = rng.choice([0, 0, 3, 120]), rng.choice([0, 0, 3, 120])
+        x = (rng.choice([-1, 1]) * xm << xz, xe - xz)
+        y = (rng.choice([-1, 1]) * ym << yz, ye - yz)
+        cases.append((x, y) if rng.random() < 0.5 else (y, x))
+    for _ in range(200):
+        x, y = [(rng.getrandbits(rng.choice([1, 5, prec, 2 * prec])) * rng.choice([-1, 1]),
+                 rng.randrange(-900, 900)) for _ in range(2)]
+        cases += [(x, y), (x, (-x[0], x[1])), (x, (-x[0] << 7, x[1] - 7)),
+                  (x, (0, 5)), ((0, -5), y)]
+    return cases
+
+
+@pytest.mark.parametrize("prec", [364, 374, 2464])
+def test_rounded_sum_is_mpf_add_on_and_off_the_perturbed_path(prec):
+    rng = random.Random(prec)
+    perturbed = not_rounded = 0
+    for x, y in _sum_operands(rng, prec):
+        fx, fy = from_man_exp(*x), from_man_exp(*y)
+        for down, rnd in ((False, round_nearest), (True, round_down)):
+            want = mpf_add(fx, fy, prec, rnd)
+            assert from_man_exp(*_rounded_sum(*x, *y, prec, down)) == want, (x, y, rnd)
+            not_rounded += want != mpf_pos(mpf_add(fx, fy), prec, rnd)
+        perturbed += _takes_perturbed_path(fx, fy, prec)
+    # the path is reached, and it is not always the rounded sum
+    assert perturbed > 100 and not_rounded > 10
+
+
+@pytest.mark.parametrize("prec", [364, 2464])
+def test_rounded_quotient_is_mpf_div(prec):
+    rng = random.Random(prec)
+    for _ in range(1500):
+        tm = rng.choice([1, 2, 3, rng.getrandbits(rng.choice([5, prec, prec + 10])) | 1])
+        te = rng.randrange(-900, 900)
+        sm = rng.choice([0, tm * rng.randrange(1, 2**40),
+                         rng.getrandbits(rng.choice([1, prec, prec + 10, 2 * prec]))])
+        s, t = (rng.choice([-1, 1]) * sm, rng.randrange(-900, 900)), (tm << rng.choice([0, 9]), te)
+        want = mpf_div(from_man_exp(*s), from_man_exp(*t), prec, round_nearest)
+        assert from_man_exp(*_rounded_quotient(*s, *t, prec)) == want, (s, t)
+
+
+@pytest.mark.parametrize("prec", [364, 2464])
+def test_quotient_is_mpc_div_with_its_real_shortcuts(prec):
+    # mpc_div rounds |w|**2, ac + bd and bc - ad down at prec + 10 bits;
+    # b = d = 0 gives a/c's two roundings, b = c = 0 gives (0, -a/d)'s
+    rng = random.Random(prec)
+
+    def part(zero):
+        if zero:
+            return 0, rng.randrange(-50, 50)
+        return rng.choice([-1, 1]) * (rng.getrandbits(prec) | 1), rng.randrange(-2 * prec, prec)
+
+    for n in range(3000):
+        shape = n % 3      # complex / both real / real over imaginary
+        z = part(False), part(shape > 0)
+        w = part(shape == 2), part(shape == 1)
+        (cm, ce), (dm, de) = w
+        norm = _rounded_sum(cm * cm, 2 * ce, dm * dm, 2 * de, prec + 10, True)
+        raw = [tuple(from_man_exp(*p) for p in v) for v in (z, w)]
+        got = _quotient(z, w, norm, prec)
+        assert tuple(from_man_exp(*p) for p in got) == mpc_div(*raw, prec, round_nearest), (z, w)
 
 
 @pytest.mark.parametrize("prec", [300, 2400])

@@ -11,7 +11,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 
-from g2modpoly.exactnum import WORK_GUARD, PrecisionError, poly_mul, to_mpc, tolerance
+from g2modpoly.exactnum import WORK_GUARD, PrecisionError, horner, poly_mul, to_mpc, tolerance
 from g2modpoly import richelot
 from g2modpoly.g2curve import Genus2Curve, absolute_igusa
 from g2modpoly.richelot import (
@@ -201,6 +201,30 @@ def test_coefficient_beyond_double_range_takes_the_polyroots_ladder(monkeypatch)
     want = _bits(_polyroots_roots(c, 600))
     seed_bits = _polyroots_spy(monkeypatch)
     assert _bits(complex_roots(c, 600)) == want
+    assert seed_bits[0] == richelot._SEED_BITS
+
+
+@pytest.mark.parametrize("c0, sweeps", [(10**52 + 1, 0), (10**40 + 1, richelot._ABERTH_SWEEPS)],
+                         ids=["non-finite-step", "unsettled"])
+def test_refused_double_seeds_take_the_polyroots_ladder(c0, sweeps, monkeypatch):
+    # with c0 = 10^52 + 1 the first Aberth step is not finite; with 10^40 + 1
+    # Aberth has not settled after every sweep. Either way the double seed
+    # is refused and the roots are the full polyroots call's
+    c = curve(c0, 3, 1, -1, 0, 2, 1)
+    work = PREC + WORK_GUARD
+    coeffs = [to_mpc(x, work) for x in c.coeffs]
+    with mp.workprec(work + WORK_GUARD):
+        deriv = [k * z for k, z in enumerate(coeffs)][1:]
+    points = []
+    with monkeypatch.context() as patched:
+        patched.setattr(richelot, "horner", lambda cs, x: points.append(x) or horner(cs, x))
+        assert richelot._double_seeds(coeffs, deriv) is None
+    # two Horner values per root and sweep: the non-finite step is refused
+    # at once, not after every sweep has run on NaN
+    assert len(points) == (12 * sweeps if sweeps else 2)
+    want = _bits(_polyroots_roots(c, PREC))
+    seed_bits = _polyroots_spy(monkeypatch)
+    assert _bits(complex_roots(c, PREC)) == want
     assert seed_bits[0] == richelot._SEED_BITS
 
 
