@@ -19,11 +19,14 @@ non-integral models are compared too. It prints the sha256 of the raw
 mpmath tuples (``_mpf_``) of every coefficient of ``evaluated_P2(c,
 300).p2`` over the same curves, or of the exception's name for a curve
 that is refused, so the float P2 is compared bit for bit and not only to
-the printed digits. It prints the same digest of the elimination
+the printed digits, and the same digest of ``evaluated_P2(c, 2400).p2``
+over the first ``--recon`` curves. It prints the same digest of the
+elimination
 ``g2curve._resultant_f_fprime`` over every image that ``richelot_image``
 gives of the same curves at 300 bits and of the first ``--recon`` curves
 at 2400 bits, so the float I10 of the images is compared bit for bit on
-its own. It prints the same digest of the six roots
+its own, and of the triple ``absolute_igusa`` gives of each of those
+images, at the same precisions. It prints the same digest of the six roots
 ``complex_roots`` gives at 300 and at 2400 bits over the same curves, and
 over a fixed set of close pairs, marked ``cluster`` (roots b, b + 2^-g,
 5/2, -2, 3, -7/3 for b in {1/3, 2/7} and g in {12, 16, 20, 24, 40, 80}),
@@ -92,8 +95,7 @@ def bits_digest(values, curves, prec):
         except (ValueError, ArithmeticError) as exc:
             text = type(exc).__name__
         else:
-            text = repr([(s, int(m), e, b) for c in coeffs
-                         for s, m, e, b in (c.real._mpf_, c.imag._mpf_)])
+            text = repr([(s, int(m), e, b) for c in coeffs for s, m, e, b in c._mpc_])
         digest.update(f"{text}\n".encode())
     return digest.hexdigest()
 
@@ -107,6 +109,12 @@ def image_resultants(curve, prec):
     steps = map(richelot.richelot_image, richelot.enumerate_factorizations(curve, prec))
     return [g2curve._resultant_f_fprime(s.image.coeffs, prec)
             for s in steps if s.image is not None]
+
+
+def image_invariants(curve, prec):
+    """The ``absolute_igusa`` triples of the images of ``curve`` that are not split."""
+    return [j for _, triple in richelot.all_isogenous_invariants(curve, prec)
+            if triple is not None for j in triple]
 
 
 def ladder_digests(curves):
@@ -143,9 +151,11 @@ def main(argv=None):
             for command in COMMANDS:
                 print(f"{label}{' '.join(command)}: {report_digest(command, paths)}")
     print(f"evaluated_P2 300 bits: {bits_digest(p2_coeffs, curves[:args.curves], 300)}")
-    elimination = (bits_digest(image_resultants, curves[:args.curves], 300)
-                   + bits_digest(image_resultants, curves[:args.recon], 2400))
-    print(f"elimination 300 and 2400 bits: {hashlib.sha256(elimination.encode()).hexdigest()}")
+    print(f"evaluated_P2 2400 bits: {bits_digest(p2_coeffs, curves[:args.recon], 2400)}")
+    for label, values in (("elimination", image_resultants), ("image absolute_igusa", image_invariants)):
+        both = (bits_digest(values, curves[:args.curves], 300)
+                + bits_digest(values, curves[:args.recon], 2400))
+        print(f"{label} 300 and 2400 bits: {hashlib.sha256(both.encode()).hexdigest()}")
     for label, chosen in (("", curves[:args.curves]), ("cluster ", CLUSTERS)):
         for prec in (300, 2400):
             print(f"{label}complex_roots {prec} bits: "

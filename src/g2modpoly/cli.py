@@ -27,6 +27,7 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -40,6 +41,7 @@ from .exactnum import (
     ComplexPoly,
     PrecisionError,
     complex_to_pair,
+    excerpt,
     format_rational,
     horner,
     negligible,
@@ -69,16 +71,24 @@ def _load_json(path: str) -> dict:
         return json.load(fh, parse_int=str_to_int)
 
 
+def _matrix_entry(x) -> int:
+    """An int, or a string ``[+-]?[0-9]+`` of any length (``str_to_int``)."""
+    if isinstance(x, str) and re.fullmatch(r"[+-]?[0-9]+", x) or type(x) is int:
+        return str_to_int(x) if isinstance(x, str) else x
+    raise ValueError(f"matrix entry {excerpt(x) if isinstance(x, str) else type(x).__name__}"
+                     " is not an integer")
+
+
 def _matrix_rows(doc, size: int = 4) -> Tuple[Tuple[int, ...], ...]:
-    """Accept a row-major nested list or a flat list of integer strings."""
+    """Accept a row-major nested list or a flat list of ints or integer strings."""
     if isinstance(doc, dict):
         doc = doc.get("rows", doc)
     if not isinstance(doc, list):
         raise ValueError(f"expected a {size}x{size} matrix as a JSON list")
     if len(doc) == size and all(isinstance(r, (list, tuple)) for r in doc):
-        rows = [[int(str(x)) for x in r] for r in doc]
+        rows = [[_matrix_entry(x) for x in r] for r in doc]
     elif len(doc) == size * size:
-        flat = [int(str(x)) for x in doc]
+        flat = [_matrix_entry(x) for x in doc]
         rows = [flat[i * size:(i + 1) * size] for i in range(size)]
     else:
         raise ValueError(f"expected a {size}x{size} matrix (nested or flat row-major)")

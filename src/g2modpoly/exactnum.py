@@ -7,15 +7,16 @@ collected here:
 * rationals: ``fractions.Fraction`` with ``p/q`` string (de)serialization of any length,
 * dense univariate polynomials as coefficient lists over any ring:
   ``poly_mul``, ``poly_from_roots`` and ``horner`` are the package's only
-  polynomial arithmetic, over Fractions, mpc values and F_{p^2} alike;
-  ``ComplexPoly`` holds mpc coefficients at a stated precision and adds
-  only synthetic division (``deflate``),
+  polynomial arithmetic, over Fractions, mpc and RoundedComplex values and
+  F_{p^2} alike; ``ComplexPoly`` holds mpc coefficients at a stated
+  precision and adds only synthetic division (``deflate``),
 * exact linear algebra: ``nullspace`` and the fraction-free integer
   determinant ``bareiss_det``, which gives the Igusa-Clebsch I10 of a
   rational curve on its integral model; and continued-fraction rational
   reconstruction.
 
-All floating point work goes through mpmath with explicit binary precision.
+All floating point work rounds as mpmath does, at explicit binary precision;
+the Richelot images, their invariants and P2's expansion run on int pairs (``RoundedComplex``).
 A value "at precision ``prec``" means the computation ran with at least
 ``prec`` mantissa bits; the associated comparison tolerance is
 ``tolerance(prec)`` = 2**(-prec/2), and ``negligible`` is the one test of
@@ -71,7 +72,12 @@ def parse_rational(text: str) -> Fraction:
             return Fraction(str_to_int(literal[1]), str_to_int(literal[2] or "1"))
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational literal {text!r}") from exc
+        raise ValueError(f"bad rational literal {excerpt(text)}") from exc
+
+
+def excerpt(text: str) -> str:
+    """``text`` quoted for a refusal message: at most 40 characters, then its length."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def str_to_int(text: str) -> int:
@@ -134,13 +140,15 @@ _EXPONENT_MARGIN = 2
 
 
 def _binade(v: MpScalar) -> Optional[int]:
-    """The largest exponent plus bit count over the parts of an mpf or mpc.
+    """The largest exponent plus bit count over the parts of an mpf, mpc or RoundedComplex.
 
     For a finite nonzero v this e gives 2**(e-1) <= |v| < 2**(e+1/2): the
     larger part lies in [2**(e-1), 2**e), and the other adds at most a
     factor sqrt(2). It is -inf for zero, and None for inf, NaN or a value
     that is not an mpmath number.
     """
+    if isinstance(v, RoundedComplex):
+        return max((e + m.bit_length() for m, e in v.parts if m), default=-math.inf)
     if isinstance(v, mpc):
         parts = v._mpc_
     elif isinstance(v, mpf):
@@ -172,7 +180,7 @@ def negligible(x: MpScalar, prec: int, scale: Iterable[MpScalar] = (), power: in
     e_x + power + 2 <= c, and is not when e_x >= c + power + 2; the 2 is
     ``_EXPONENT_MARGIN``, which covers the half binade of the brackets'
     open ends and the roundings. Between the two, and when x is zero, or
-    x or a scale entry is inf, NaN or not an mpf or mpc, the expression
+    x or a scale entry is inf, NaN or not of a type ``_binade`` reads, the expression
     above is evaluated as written, so every verdict is the written one.
     A zero scale entry is below the floor 1 of ``magnitude`` and counts
     for nothing.
@@ -197,9 +205,131 @@ def negligible(x: MpScalar, prec: int, scale: Iterable[MpScalar] = (), power: in
 
 def mpc_to_pairs(z: mpc) -> Tuple[Tuple[int, int], Tuple[int, int]]:
     """The parts of a finite mpc as signed int pairs (m, e), each m * 2**e."""
-    if any(not man and bc for _, man, _, bc in z._mpc_):     # inf and NaN: no mantissa, nonzero bc
+    (s, m, e, b), (t, n, f, c) = z._mpc_
+    if not m and b or not n and c:      # inf and NaN: no mantissa, nonzero bc
         raise ValueError(f"{z} is not a finite number")
-    return tuple((-int(man) if sign else int(man), int(exp)) for sign, man, exp, _ in z._mpc_)
+    return (-int(m) if s else int(m), int(e)), (-int(n) if t else int(n), int(f))
+
+
+def _rounded_sum(xm: int, xe: int, ym: int, ye: int, prec: int, down: bool) -> Tuple[int, int]:
+    """``mpf_add`` of xm * 2**xe and ym * 2**ye at ``prec`` bits, bit for bit:
+    the sum rounded toward zero when ``down``, else to nearest, ties to even.
+    On mpmath's perturbed path (tops more than prec + 4 apart and odd
+    mantissas' exponents more than 100) the larger term is moved one unit
+    below its last bit toward the other and rounded, which is not always the
+    rounded sum; how far below does not change the rounding."""
+    if xm and ym:
+        gap = xe + xm.bit_length() - ye - ym.bit_length()
+        if gap < -prec - 4:
+            xm, xe, ym, ye, gap = ym, ye, xm, xe, -gap
+        if gap > prec + 4 and xe + (xm & -xm).bit_length() - ye - (ym & -ym).bit_length() > 100:
+            xm, xe, ym, ye = xm << prec + 4, xe - prec - 4, 1 if ym > 0 else -1, xe - prec - 4
+        e = xe if xe < ye else ye
+        m = (xm << xe - e) + (ym << ye - e)
+    else:
+        m, e = xm + ym, xe if xm else ye
+    n = m.bit_length() - prec
+    if n <= 0:
+        return m, e
+    if down:
+        return (m >> n if m > 0 else -(-m >> n)), e + n
+    t = m >> (n - 1)
+    if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
+        return (t >> 1) + 1, e + n
+    return t >> 1, e + n
+
+
+def _rounded_quotient(sm: int, se: int, tm: int, te: int, prec: int) -> Tuple[int, int]:
+    """(sm * 2**se) / (tm * 2**te), tm > 0, rounded to nearest as ``mpf_div``:
+    a quotient of prec + 2 bits or more, a sticky bit for a remainder, rounded once."""
+    shift = max(prec + 2 + tm.bit_length() - sm.bit_length(), 0)
+    q, r = divmod(abs(sm) << shift, tm)
+    q = q << 1 | (r > 0)
+    return _rounded_sum(-q if sm < 0 else q, se - te - shift - 1, 0, 0, prec, False)
+
+
+def _quotient(z: tuple, w: tuple, norm: Tuple[int, int], prec: int) -> tuple:
+    """``mpc_div(z, w, prec, round_nearest)`` given ``norm``: |w|**2, ac + bd and
+    bc - ad rounded down at prec + 10 bits, then divided to nearest."""
+    (am, ae), (bm, be) = z
+    (cm, ce), (dm, de) = w
+    t = _rounded_sum(am * cm, ae + ce, bm * dm, be + de, prec + 10, True)
+    u = _rounded_sum(bm * cm, be + ce, -am * dm, ae + de, prec + 10, True)
+    return _rounded_quotient(*t, *norm, prec), _rounded_quotient(*u, *norm, prec)
+
+
+def _product(z: tuple, w: tuple, prec: int) -> tuple:
+    """``mpc_mul`` to nearest at ``prec`` bits: ac - bd and ad + bc of exact products."""
+    (am, ae), (bm, be) = z
+    (cm, ce), (dm, de) = w
+    return (_rounded_sum(am * cm, ae + ce, -bm * dm, be + de, prec, False),
+            _rounded_sum(am * dm, ae + de, bm * cm, be + ce, prec, False))
+
+
+class RoundedComplex:
+    """A complex value as its parts' int pairs (``mpc_to_pairs``), whose ``+``, ``-``,
+    ``*``, ``/`` and unary ``-`` round bit for bit as mpmath's mpc operators round
+    to nearest at ``prec`` bits: ``n + x`` for an int n rounds the real part alone,
+    ``n * x`` each part times n once, and ``/`` rounds |y|**2 and the numerators
+    down at prec + 10 bits. ``x ** k`` is the exact power rounded once, which
+    x * x is not on ``mpf_add``'s perturbed path. ``mpc(x)`` is x unrounded."""
+
+    __slots__ = ("parts", "prec")
+
+    def __init__(self, parts: Tuple[Tuple[int, int], Tuple[int, int]], prec: int) -> None:
+        self.parts, self.prec = parts, prec
+
+    @classmethod
+    def of(cls, value: Scalar, prec: int) -> "RoundedComplex":
+        """``value`` at ``prec`` bits, unrounded unless ``to_mpc`` rounds it."""
+        return cls(value.parts if isinstance(value, cls) else mpc_to_pairs(to_mpc(value, prec)), prec)
+
+    @property
+    def _mpc_(self) -> tuple:
+        return from_man_exp(*self.parts[0]), from_man_exp(*self.parts[1])
+
+    def __abs__(self) -> mpf:
+        return abs(mp.make_mpc(self._mpc_))
+
+    def __add__(self, other):
+        (am, ae), im = self.parts
+        if isinstance(other, int):
+            return RoundedComplex((_rounded_sum(am, ae, other, 0, self.prec, False), im), self.prec)
+        (cm, ce), (dm, de) = other.parts
+        return RoundedComplex((_rounded_sum(am, ae, cm, ce, self.prec, False),
+                               _rounded_sum(*im, dm, de, self.prec, False)), self.prec)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        (cm, ce), (dm, de) = other.parts
+        return self + RoundedComplex(((-cm, ce), (-dm, de)), other.prec)
+
+    def __neg__(self):
+        return self * -1
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            (am, ae), (bm, be) = self.parts
+            return RoundedComplex((_rounded_sum(am * other, ae, 0, 0, self.prec, False),
+                                   _rounded_sum(bm * other, be, 0, 0, self.prec, False)), self.prec)
+        return RoundedComplex(_product(self.parts, other.parts, self.prec), self.prec)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        (cm, ce), (dm, de) = other.parts
+        norm = _rounded_sum(cm * cm, 2 * ce, dm * dm, 2 * de, self.prec + 10, True)
+        return RoundedComplex(_quotient(self.parts, other.parts, norm, self.prec), self.prec)
+
+    def __pow__(self, k: int) -> "RoundedComplex":
+        (am, ae), (bm, be) = self.parts
+        e = min(ae, be) if am and bm else (ae if am else be)
+        re, im = a, b = (am << ae - e if am else 0), (bm << be - e if bm else 0)
+        for _ in range(k - 1):
+            re, im = re * a - im * b, re * b + im * a
+        return RoundedComplex((_rounded_sum(re, k * e, 0, 0, self.prec, False),
+                               _rounded_sum(im, k * e, 0, 0, self.prec, False)), self.prec)
 
 
 def first_largest_modulus(zs: Sequence[tuple], prec: int) -> int:
@@ -272,10 +402,12 @@ def to_mpc(value: Scalar, prec: int) -> mpc:
     mpmath constructors round existing values to the current context
     precision, so a bare mpc(x) silently truncates high-precision data when
     called at the default context; conversions here always happen at an
-    explicit precision, and mpc input passes through untouched.
+    explicit precision, and mpc and RoundedComplex input pass through untouched.
     """
     if isinstance(value, mpc):
         return value
+    if isinstance(value, RoundedComplex):
+        return mp.make_mpc(value._mpc_)
     with mp.workprec(prec + 8):
         if isinstance(value, (Fraction, int)):
             return mpc(fraction_to_mpf(value, prec))
@@ -329,9 +461,8 @@ def poly_mul(u: Sequence[Scalar], v: Sequence[Scalar]) -> List[Scalar]:
 def poly_from_roots(roots: Sequence, one) -> list:
     """The monic product of ``X - r`` over ``roots``, constant coefficient first.
 
-    ``one`` is the ring's 1 (``mpc(1)``, or ``modp.Fp2(1, 0, p)``). Each
-    factor is multiplied in by ``poly_mul``, so mpmath values round at the
-    ambient precision.
+    ``one`` is the ring's 1 (``RoundedComplex.of(1, prec)``, or
+    ``modp.Fp2(1, 0, p)``). Each factor is multiplied in by ``poly_mul``.
     """
     out = [one]
     for r in roots:
@@ -364,8 +495,7 @@ class ComplexPoly:
     prec: int
 
     def __post_init__(self) -> None:
-        cs = [c if isinstance(c, mpc) else to_mpc(c, self.prec + WORK_GUARD)
-              for c in self.coeffs]
+        cs = [to_mpc(c, self.prec + WORK_GUARD) for c in self.coeffs]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         if not cs:
@@ -394,10 +524,10 @@ class ComplexPoly:
 
     @classmethod
     def from_roots(cls, roots: Sequence[Scalar], prec: int) -> "ComplexPoly":
-        """Expand the monic polynomial with the given roots (``poly_from_roots``)."""
-        with mp.workprec(prec + WORK_GUARD):
-            return cls(tuple(poly_from_roots([to_mpc(r, prec + WORK_GUARD) for r in roots],
-                                             mpc(1))), prec)
+        """Expand the monic polynomial with the given roots (``poly_from_roots`` over RoundedComplex)."""
+        work = prec + WORK_GUARD
+        return cls(tuple(poly_from_roots([RoundedComplex.of(r, work) for r in roots],
+                                         RoundedComplex.of(1, work))), prec)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ Invariants come in two flavours:
   they agree with the symmetric root-difference sums (I10 is the
   discriminant of the monic sextic). I2, I4, I6 are evaluated from frozen
   integer coefficient formulas (igusa_data.py) over one power table
-  [1, c, ..., c^4] per coefficient, shared by all three; for complex
-  coefficients each power is multiplied out exactly and rounded once at
-  the working precision. I10 = -Res(f, f') comes from an elimination that
-  rounds as mpmath's mpc operators (``_resultant_f_fprime``). For a rational
+  [1, c, ..., c^4] per coefficient, shared by all three; complex
+  coefficients are evaluated as ``exactnum.RoundedComplex`` values, each
+  power exact and rounded once. I10 = -Res(f, f') comes from an
+  elimination on their int pairs (``_resultant_f_fprime``). For a rational
   curve all four come from ``exact_clebsch``: the curve is first moved to
   its integral model D^6 f(x/D), D the least common denominator, where the
   tables and I10 (``exactnum.bareiss_det`` of the integer Sylvester matrix)
@@ -25,8 +25,8 @@ Invariants come in two flavours:
   evaluates the I2 table over F_{p^2} with the same ``_eval_terms`` and
   takes I10 from the brackets in closed form.
 * ``absolute_igusa``: the weight-zero triple
-  j1 = I2^5/I10, j2 = I2^3 I4/I10, j3 = I2^2 I6/I10, with the powers of
-  I2 taken from the same kind of table, as an ``IgusaTriple``: a named
+  j1 = I2^5/I10, j2 = I2^3 I4/I10, j3 = I2^2 I6/I10, each power of I2
+  exact (rounded once for a complex curve), as an ``IgusaTriple``: a named
   tuple, read by name (``.j1``) or as the plain tuple (j1, j2, j3).
   ``absolute_j1`` is j1 alone, from I2 and I10 only (power tables up to
   c^2), bit for bit the same value; the evaluated P2 needs nothing else
@@ -49,16 +49,18 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from mpmath import mp, mpc
-from mpmath.libmp import from_man_exp
 
 from .exactnum import (
     DEFAULT_PREC,
+    RoundedComplex,
     Scalar,
     WORK_GUARD,
+    _product,
+    _quotient,
+    _rounded_sum,
     bareiss_det,
     first_largest_modulus,
     format_rational,
-    mpc_to_pairs,
     negligible,
     parse_rational,
     poly_mul,
@@ -130,23 +132,11 @@ def validate_curve(coeffs: Sequence[Union[int, Fraction, str]]) -> Genus2Curve:
 
 
 def _power_table(c: Scalar, top: int) -> List[Scalar]:
-    """[1, c, c^2, ..., c^top]; plain products for exact c.
-
-    An mpc power is multiplied out exactly and rounded once at the ambient
-    precision, so it is the correctly rounded power. ``c ** e`` is the same
-    wherever mpmath takes its exact integer path, but switches to
-    exp(e log c) once the exact size passes 10^4 bits, which at a few
-    thousand bits costs more than everything else in ``igusa_clebsch``.
-    """
+    """[1, c, c^2, ..., c^top] by plain products, for exact c and over F_{p^2};
+    a RoundedComplex c takes ``c ** e``, exact and rounded once, instead."""
     table = [1, c]
-    if isinstance(c, mpc):
-        exact = c
-        for _ in range(top - 1):
-            exact = mp.fmul(exact, c, exact=True)
-            table.append(+exact)
-    else:
-        for _ in range(top - 1):
-            table.append(table[-1] * c)
+    for _ in range(top - 1):
+        table.append(table[-1] * c)
     return table
 
 
@@ -190,7 +180,7 @@ def _eval_terms(terms, tables):
 
 def _sylvester_f_fprime(coeffs: Sequence, zero) -> List[list]:
     """Sylvester matrix of monic sextic f and f' (coefficients constant first):
-    5 shifted rows of f, then 6 of f'; products round at the ambient precision."""
+    5 shifted rows of f, then 6 of f'."""
     f_desc = list(reversed(list(coeffs)))
     fp_desc = [(6 - i) * f_desc[i] for i in range(6)]
     a = [[zero] * i + f_desc + [zero] * (4 - i) for i in range(5)]
@@ -198,68 +188,13 @@ def _sylvester_f_fprime(coeffs: Sequence, zero) -> List[list]:
     return a
 
 
-def _rounded_sum(xm: int, xe: int, ym: int, ye: int, prec: int, down: bool) -> Tuple[int, int]:
-    """``mpf_add`` of xm * 2**xe and ym * 2**ye at ``prec`` bits, bit for bit:
-    the sum rounded toward zero when ``down``, else to nearest, ties to even.
-    On mpmath's perturbed path (tops more than prec + 4 apart and odd
-    mantissas' exponents more than 100) the larger term is moved one unit
-    below its last bit toward the other and rounded, which is not always the
-    rounded sum; how far below does not change the rounding."""
-    if xm and ym:
-        gap = xe + xm.bit_length() - ye - ym.bit_length()
-        if gap < -prec - 4:
-            xm, xe, ym, ye, gap = ym, ye, xm, xe, -gap
-        if gap > prec + 4 and xe + (xm & -xm).bit_length() - ye - (ym & -ym).bit_length() > 100:
-            xm, xe, ym, ye = xm << prec + 4, xe - prec - 4, 1 if ym > 0 else -1, xe - prec - 4
-        e = xe if xe < ye else ye
-        m = (xm << xe - e) + (ym << ye - e)
-    else:
-        m, e = xm + ym, xe if xm else ye
-    n = m.bit_length() - prec
-    if n <= 0:
-        return m, e
-    if down:
-        return (m >> n if m > 0 else -(-m >> n)), e + n
-    t = m >> (n - 1)
-    if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
-        return (t >> 1) + 1, e + n
-    return t >> 1, e + n
-
-
-def _rounded_quotient(sm: int, se: int, tm: int, te: int, prec: int) -> Tuple[int, int]:
-    """(sm * 2**se) / (tm * 2**te), tm > 0, rounded to nearest as ``mpf_div``:
-    a quotient of prec + 2 bits or more, a sticky bit for a remainder, rounded once."""
-    shift = max(prec + 2 + tm.bit_length() - sm.bit_length(), 0)
-    q, r = divmod(abs(sm) << shift, tm)
-    q = q << 1 | (r > 0)
-    return _rounded_sum(-q if sm < 0 else q, se - te - shift - 1, 0, 0, prec, False)
-
-
-def _quotient(z: tuple, w: tuple, norm: Tuple[int, int], prec: int) -> tuple:
-    """``mpc_div(z, w, prec, round_nearest)`` given ``norm``: |w|**2, ac + bd and
-    bc - ad rounded down at prec + 10 bits, then divided to nearest."""
-    (am, ae), (bm, be) = z
-    (cm, ce), (dm, de) = w
-    t = _rounded_sum(am * cm, ae + ce, bm * dm, be + de, prec + 10, True)
-    u = _rounded_sum(bm * cm, be + ce, -am * dm, ae + de, prec + 10, True)
-    return _rounded_quotient(*t, *norm, prec), _rounded_quotient(*u, *norm, prec)
-
-
-def _product(z: tuple, w: tuple, prec: int) -> tuple:
-    """``mpc_mul`` to nearest at ``prec`` bits: ac - bd and ad + bc of exact products."""
-    (am, ae), (bm, be) = z
-    (cm, ce), (dm, de) = w
-    return (_rounded_sum(am * cm, ae + ce, -bm * dm, be + de, prec, False),
-            _rounded_sum(am * dm, ae + de, bm * cm, be + ce, prec, False))
-
-
-def _resultant_f_fprime(coeffs: Sequence[Scalar], prec: int) -> mpc:
+def _resultant_f_fprime(coeffs: Sequence[Scalar], prec: int) -> RoundedComplex:
     """Res(f, f') for monic sextic f with complex coefficients, constant first.
 
-    Gaussian elimination of the 11x11 Sylvester matrix at ``work = prec +
-    WORK_GUARD`` bits on (mantissa, exponent) int pairs, each operation
-    rounded bit for bit as the mpc operators ``mpc_mul``, ``mpc_sub`` and
-    ``mpc_div`` round it (|pivot|**2 taken once per column). Only the
+    Gaussian elimination of the 11x11 Sylvester matrix over RoundedComplex
+    at ``work = prec + WORK_GUARD`` bits, on its entries' int pairs, each
+    operation rounded bit for bit as the mpc operators ``mpc_mul``,
+    ``mpc_sub`` and ``mpc_div`` round it (|pivot|**2 taken once per column). Only the
     columns k+1..10 of the rows below the pivot are updated (no later step
     reads the others), and an update x - fct*y by an exact zero y is
     skipped: it rounds x to ``work`` bits, which leaves x as it is unless a
@@ -280,18 +215,16 @@ def _resultant_f_fprime(coeffs: Sequence[Scalar], prec: int) -> mpc:
     """
     size = 11
     work = prec + WORK_GUARD
-    with mp.workprec(work):
-        a = _sylvester_f_fprime([to_mpc(c, work) for c in coeffs], mpc(0))
-    pairs = {id(z): z for row in a for z in row}    # 14 values among the 121 entries
-    pairs = {key: mpc_to_pairs(z) for key, z in pairs.items()}
-    a = [[pairs[id(z)] for z in row] for row in a]
+    zero = RoundedComplex.of(0, work)
+    a = [[z.parts for z in row]
+         for row in _sylvester_f_fprime([RoundedComplex.of(c, work) for c in coeffs], zero)]
     skip_zero = all(m.bit_length() <= work for z in a[0] for m, _ in z)
     det = ((1, 0), (0, 0))
     for k in range(size):
         piv = k + first_largest_modulus([a[i][k] for i in range(k, size)], work)
         (cm, ce), (dm, de) = a[piv][k]
         if not (cm or dm):
-            return mpc(0)
+            return zero
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             det = tuple((-m, e) for m, e in det)
@@ -307,28 +240,32 @@ def _resultant_f_fprime(coeffs: Sequence[Scalar], prec: int) -> mpc:
                     (pm, pe), (qm, qe) = _product(fct, pivot[j], work)
                     row[j] = (_rounded_sum(xm, xe, -pm, pe, work, False),
                               _rounded_sum(ym, ye, -qm, qe, work, False))
-    return mp.make_mpc(tuple(from_man_exp(m, e) for m, e in det))
+    return RoundedComplex(det, work)
 
 
 def igusa_clebsch(curve: Genus2Curve) -> Tuple[Scalar, Scalar, Scalar, Scalar]:
     """(I2, I4, I6, I10); exact Fractions for exact curves, mpc otherwise."""
-    return _clebsch(curve, (I2_TERMS, I4_TERMS, I6_TERMS), _TOP_POWER)
+    return _returned(curve, _clebsch(curve, (I2_TERMS, I4_TERMS, I6_TERMS), _TOP_POWER))
+
+
+def _returned(curve: Genus2Curve, values: Sequence) -> tuple:
+    """``values`` as returned: Fractions as they are, RoundedComplex as mpc."""
+    return tuple(values) if curve.is_exact else tuple(to_mpc(v, curve.working_prec()) for v in values)
 
 
 def _clebsch(curve: Genus2Curve, terms: Sequence[dict], top: int) -> Tuple[Scalar, ...]:
     """The frozen tables ``terms`` evaluated over power tables up to c^``top``, then I10.
 
-    A power c^e is the same value whatever ``top`` is, so I2 does not
-    depend on whether I4 and I6 are evaluated beside it.
+    A complex curve's values are RoundedComplex. A power c^e is the same
+    value whatever ``top`` is, so I2 does not depend on whether I4 and I6
+    are evaluated beside it.
     """
     if curve.is_exact:
         return exact_clebsch(curve.coeffs, terms, top)
     prec = curve.working_prec()
-    with mp.workprec(prec + WORK_GUARD):
-        tables = [_power_table(to_mpc(c, prec + WORK_GUARD), top) for c in curve.coeffs[:6]]
-        values = [_eval_terms(t, tables) for t in terms]
-        i10 = -_resultant_f_fprime(curve.coeffs, prec)
-        return (*(mpc(v) for v in values), mpc(i10))
+    coeffs = [RoundedComplex.of(c, prec + WORK_GUARD) for c in curve.coeffs]
+    tables = [[1, c] + [c**e for e in range(2, top + 1)] for c in coeffs[:6]]
+    return (*(_eval_terms(t, tables) for t in terms), -_resultant_f_fprime(coeffs, prec))
 
 
 def _integral_model(coeffs: Sequence[Union[int, Fraction]]) -> Tuple[int, List[int]]:
@@ -371,11 +308,10 @@ def _require_nonsingular(curve: Genus2Curve, i10: Scalar) -> None:
 
 def absolute_igusa(curve: Genus2Curve) -> IgusaTriple:
     """The weight-zero triple (I2^5, I2^3 I4, I2^2 I6) / I10."""
-    i2, i4, i6, i10 = igusa_clebsch(curve)
+    i2, i4, i6, i10 = _clebsch(curve, (I2_TERMS, I4_TERMS, I6_TERMS), _TOP_POWER)
     with mp.workprec(curve.working_prec() + WORK_GUARD):
         _require_nonsingular(curve, i10)
-        p = _power_table(i2, 5)
-        return IgusaTriple(p[5] / i10, p[3] * i4 / i10, p[2] * i6 / i10)
+    return IgusaTriple(*_returned(curve, (i2**5 / i10, i2**3 * i4 / i10, i2**2 * i6 / i10)))
 
 
 def absolute_j1(curve: Genus2Curve) -> Scalar:
@@ -387,7 +323,7 @@ def absolute_j1(curve: Genus2Curve) -> Scalar:
     i2, i10 = _clebsch(curve, (I2_TERMS,), _I2_TOP)
     with mp.workprec(curve.working_prec() + WORK_GUARD):
         _require_nonsingular(curve, i10)
-        return _power_table(i2, 5)[5] / i10
+    return _returned(curve, (i2**5 / i10,))[0]
 
 
 def transform_model(curve: Genus2Curve, g: Sequence[Sequence[Union[Fraction, int]]]) -> Genus2Curve:

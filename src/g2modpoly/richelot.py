@@ -37,12 +37,12 @@ import mpmath
 
 from .exactnum import (
     PrecisionError,
+    RoundedComplex,
     Scalar,
     WORK_GUARD,
     first_largest_modulus,
     horner,
     magnitude,
-    mpc_to_pairs,
     negligible,
     poly_mul,
     to_mpc,
@@ -376,34 +376,38 @@ def richelot_image(triple: QuadraticTriple) -> RichelotStep:
     [A,B][A,C][B,C] is renormalized monic; if its leading coefficient
     degenerates (a bracket drops degree), the model is first moved by an
     integer Moebius substitution x -> t + 1/x, which changes neither the
-    isomorphism class nor the invariants.
+    isomorphism class nor the invariants. It runs over ``RoundedComplex``
+    at ``prec + WORK_GUARD`` bits and returns mpc values.
     """
     p = triple.prec
-    with mp.workprec(p + WORK_GUARD):
-        delta = richelot_delta(triple.quads)
+    work = p + WORK_GUARD
+    quads = [[RoundedComplex.of(c, work) for c in q] for q in triple.quads]
+    with mp.workprec(work):
+        delta = to_mpc(richelot_delta(quads), work)
         if negligible(delta, p, [c for q in triple.quads for c in q], 3):
             return RichelotStep(triple, delta, None)
-        g = image_sextic(triple.quads)
+        g = image_sextic(quads)
         if negligible(g[6], p, g):
             g = _restore_degree(g, p)
         lead = g[6]
-        monic = tuple(mpc(x / lead) for x in g[:6]) + (mpc(1),)
+        monic = tuple(to_mpc(x / lead, work) for x in g[:6]) + (mpc(1),)
         return RichelotStep(triple, delta, Genus2Curve(monic, p))
 
 
-def _restore_degree(g: Sequence[mpc], prec: int) -> Tuple[mpc, ...]:
+def _restore_degree(g: Sequence[RoundedComplex], prec: int) -> Tuple[RoundedComplex, ...]:
     """Moebius-move a degenerate (degree < 6) image sextic back to degree 6.
 
     Substitutes x -> t + 1/x and clears denominators, giving coefficient
     reversal of g(x + t); t is the first of ``MOVE_SHIFTS`` with the
-    largest |g(t)| at the ambient precision (``first_largest_modulus``, as
-    the elimination's pivot), refused when that |g(t)| is negligible.
+    largest |g(t)| at ``prec + WORK_GUARD`` bits (``first_largest_modulus``,
+    as the elimination's pivot), refused when that |g(t)| is negligible.
     """
-    values = [horner(g, mpc(t)) for t in MOVE_SHIFTS]
-    best = first_largest_modulus([mpc_to_pairs(v) for v in values], mp.prec)
+    work = prec + WORK_GUARD
+    values = [horner(g, RoundedComplex.of(t, work)) for t in MOVE_SHIFTS]
+    best = first_largest_modulus([v.parts for v in values], work)
     if negligible(values[best], prec, g):
         raise PrecisionError("could not renormalize a degenerate image model")
-    return moved_model(g, mpc(MOVE_SHIFTS[best]))
+    return moved_model(g, RoundedComplex.of(MOVE_SHIFTS[best], work))
 
 
 def moved_model(g: Sequence[Scalar], t: Scalar) -> Tuple[Scalar, ...]:

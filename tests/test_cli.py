@@ -646,6 +646,40 @@ def test_input_literals_of_more_than_4300_digits_are_read(tmp_path, form, capsys
     assert _long_rational(doc["results"]["f"][0]) == 10**5000 + 1
 
 
+@pytest.mark.parametrize("form", ["string", "number"])
+def test_matrix_entries_of_more_than_4300_digits_are_read(tmp_path, generic_curve_file, form, capsys):
+    # both exited 3 ("Exceeds the limit (4300 digits)") while matrix entries
+    # were read by int(str(x)); x -> 10^5000 x / 10^5000 leaves the curve as it is
+    big = "1" + "0" * 5000
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([[big, "0"], ["0", big]]) if form == "string" else
+                    f"[[{big}, 0], [0, {big}]]\n")
+    code, doc, _ = _report(["curve", "transform", "--in", generic_curve_file,
+                            "--matrix", str(path)], capsys)
+    assert code == 0
+    assert doc["results"]["f"] == GENERIC
+    assert doc["checks"][0]["pass"]
+
+
+@pytest.mark.parametrize("entry", ["1.5", " 12", "0x10", True, 1.0, None, "1" * 5000 + "x"])
+def test_malformed_matrix_entries_exit_three_with_a_short_message(tmp_path, generic_curve_file,
+                                                                  entry, capsys):
+    matrix = _write_json(tmp_path / "m.json", [[entry, 0], [0, 1]])
+    code, out, err = _run(["curve", "transform", "--in", generic_curve_file,
+                           "--matrix", matrix], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("invalid input: matrix entry") and len(err) < 200
+
+
+def test_a_long_malformed_coefficient_exits_three_with_a_short_message(tmp_path, capsys):
+    path = _write_json(tmp_path / "bad.json", {"f": ["1" * 5000 + "/x", *GENERIC[1:]]})
+    code, out, err = _run(["curve", "validate", "--in", path], capsys)
+    assert code == 3
+    assert out == ""
+    assert "bad rational literal" in err and len(err) < 200
+
+
 def test_modpoly_l2_requires_a_point_or_a_curve(capsys):
     code, out, err = _run(["modpoly", "l2", "--j1", "1"], capsys)
     assert code == 3

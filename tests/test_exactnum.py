@@ -1,5 +1,6 @@
 """Exact scalar layer: parsing, precision plumbing, reconstruction, linear algebra."""
 
+import random
 import sys
 from fractions import Fraction
 
@@ -7,11 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import mpc_abs
+from mpmath.libmp import from_int, from_man_exp, fzero, mpc_abs, mpf_mul, mpf_neg
 
 from g2modpoly import exactnum
 from g2modpoly.exactnum import (
+    WORK_GUARD,
     ComplexPoly,
+    RoundedComplex,
     bareiss_det,
     complex_to_pair,
     first_largest_modulus,
@@ -87,8 +90,10 @@ def test_parse_rational_reads_literals_of_any_length():
     assert parse_rational("0" * 5000 + "12/" + "0" * 700 + "34") == Fraction(6, 17)
     for bad in ("1" * 700 + "x", "1" * 300 + "-" + "1" * 400, "1" * 700 + "/-3",
                 "1/" + "0" * 5000):
-        with pytest.raises(ValueError, match="bad rational literal"):
+        with pytest.raises(ValueError, match="bad rational literal") as refused:
             parse_rational(bad)
+        # the message quotes a bounded prefix and the length, not the literal
+        assert len(str(refused.value)) < 200 and f"({len(bad)} characters)" in str(refused.value)
     assert sys.get_int_max_str_digits() == limit
 
 
@@ -352,6 +357,85 @@ def test_pivot_choice_breaks_near_ties_like_max(bits, monkeypatch):
 def test_relative_deviation_against_hand_computed_values(a, b, expected):
     with mp.workprec(AMBIENT):
         assert relative_deviation(a, b) == expected
+
+
+# ---------------------------------------------------------------------------
+# RoundedComplex: mpmath's mpc operators on int pairs
+# ---------------------------------------------------------------------------
+
+
+def _rounded_complex_operands(prec):
+    """Sixty complex values, fixed per ``prec``: zero, real, imaginary and
+    complex, complex with one part 2**-100 to 2**-(3 prec) of the other, and
+    small Gaussian integers; one in four has parts of prec + 40 bits."""
+    rng = random.Random(prec)
+
+    def part(bits, shift=0):
+        man = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        return from_man_exp(rng.choice([-1, 1]) * man, rng.randrange(-8, 8) - bits - shift)
+
+    out = []
+    for n in range(60):
+        bits = prec + 40 if n % 4 == 3 else prec
+        re, im = part(bits), part(bits)
+        tiny = part(bits, rng.randrange(100, 3 * prec + 1))
+        gauss = from_int(rng.randint(-3, 3)), from_int(rng.randint(-3, 3))
+        # raw parts: the mpc constructor would round them at the ambient precision
+        out.append(mp.make_mpc({0: (fzero, fzero), 1: (re, fzero), 2: (fzero, im), 3: (re, im),
+                                4: (re, tiny), 5: (tiny, im), 6: gauss}[n % 7]))
+    return out
+
+
+@pytest.mark.parametrize("prec", [300, 301, 555, 2464])
+def test_rounded_complex_operators_round_as_mpc_operators(prec):
+    values = _rounded_complex_operands(prec)
+    rounded = [RoundedComplex.of(v, prec) for v in values]
+    perturbed = 0
+
+    def takes_perturbed_path(s, t):
+        """Whether mpf_add(s, t, prec) moves the larger of two raw mpfs one unit
+        instead of rounding the sum: tops more than prec + 4 and exponents more
+        than 100 apart."""
+        (_, sm, se, sb), (_, tm, te, tb) = s, t
+        return bool(sm and tm) and (se - te > 100 and se + sb - te - tb > prec + 4
+                                    or te - se > 100 and te + tb - se - sb > prec + 4)
+
+    def check(got, want, *case):
+        assert isinstance(got, RoundedComplex) and got.prec == prec, case
+        assert mpc(got)._mpc_ == want._mpc_, case
+
+    assert any(mpc_to_pairs(v)[1][0].bit_length() > prec for v in values)
+    with mp.workprec(prec):
+        for x, rx in zip(values, rounded):
+            assert mpc(rx)._mpc_ == x._mpc_
+            check(-rx, -x, x)
+            for n in (0, 1, -1, 240, -240):
+                check(rx * n, x * n, x, n)
+                check(n * rx, n * x, x, n)
+                check(n + rx, n + x, x, n)
+                check(rx + n, x + n, x, n)
+            for y, ry in zip(values, rounded):
+                check(rx + ry, x + y, x, y)
+                check(rx - ry, x - y, x, y)
+                check(rx * ry, x * y, x, y)
+                (a, b), (c, d) = x._mpc_, y._mpc_
+                perturbed += takes_perturbed_path(mpf_mul(a, c), mpf_neg(mpf_mul(b, d)))
+                if y != 0:
+                    check(rx / ry, x / y, x, y)
+    assert perturbed > 100
+
+
+@pytest.mark.parametrize("prec", [300, 2464])
+def test_expansion_over_rounded_complex_is_the_one_over_mpc(prec):
+    # ComplexPoly.from_roots against poly_from_roots over mpc at the working
+    # precision, on the operands above and on rationals, which to_mpc rounds
+    # to 8 bits more than the expansion keeps
+    roots = _rounded_complex_operands(prec)[:15] + [Fraction(1, 3), -2, Fraction(5, 7)]
+    work = prec + WORK_GUARD
+    with mp.workprec(work):
+        want = poly_from_roots([to_mpc(r, work) for r in roots], mpc(1))
+    got = ComplexPoly.from_roots(roots, prec).coeffs
+    assert [c._mpc_ for c in got] == [c._mpc_ for c in want]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,16 @@ from mpmath.libmp import (
 )
 
 from g2modpoly import g2curve, modp
-from g2modpoly.exactnum import WORK_GUARD, mpf_to_fraction, to_mpc, tolerance
+from g2modpoly.exactnum import (
+    WORK_GUARD,
+    RoundedComplex,
+    _quotient,
+    _rounded_quotient,
+    _rounded_sum,
+    mpf_to_fraction,
+    to_mpc,
+    tolerance,
+)
 from g2modpoly.g2curve import (
     _I10_D_WEIGHT,
     _TOP_POWER,
@@ -29,10 +38,7 @@ from g2modpoly.g2curve import (
     _d_weight,
     _eval_terms,
     _power_table,
-    _quotient,
     _resultant_f_fprime,
-    _rounded_quotient,
-    _rounded_sum,
     _sylvester_f_fprime,
     absolute_igusa,
     curve_from_json,
@@ -245,8 +251,8 @@ def test_power_table_is_bit_identical_to_mpc_pow_on_the_exact_path(bits):
     with mp.workprec(bits):
         for _ in range(40):
             c = _random_mpc(rng, bits)
-            table = _power_table(c, 5)
-            assert table[1] == c
+            x = RoundedComplex.of(c, bits)
+            table = [1, c] + [mpc(x**e) for e in range(2, 6)]
             for e in range(2, 6):
                 want = c**e
                 assert table[e].real._mpf_ == want.real._mpf_, e
@@ -259,7 +265,8 @@ def test_power_table_is_the_correctly_rounded_power_at_high_precision():
     with mp.workprec(bits):
         for _ in range(10):
             c = _random_mpc(rng, bits)
-            table = _power_table(c, 5)
+            x = RoundedComplex.of(c, bits)
+            table = [1, c] + [mpc(x**e) for e in range(2, 6)]
             a, b = mpf_to_fraction(c.real), mpf_to_fraction(c.imag)
             re, im = F(1), F(0)
             for e in range(1, 6):
@@ -336,9 +343,37 @@ def test_resultant_of_the_fifteen_images_is_bit_identical_to_full_row_eliminatio
     # coefficients with more bits than the elimination works at: nothing is skipped
     images += _images(GENERIC, prec + 40)
     for image in images:
-        got = _resultant_f_fprime(image.coeffs, prec)
+        got = mpc(_resultant_f_fprime(image.coeffs, prec))
         want = _full_row_resultant(image.coeffs, prec)
         assert (got.real._mpf_, got.imag._mpf_) == (want.real._mpf_, want.imag._mpf_)
+
+
+def _mpc_invariants(image):
+    """igusa_clebsch and absolute_igusa of a complex curve by the frozen tables
+    over mpc at the working precision, each power multiplied out exactly and
+    rounded once: the reference for the evaluation over RoundedComplex."""
+    prec = image.working_prec()
+    with mp.workprec(prec + WORK_GUARD):
+        def power(c, e):
+            exact = c
+            for _ in range(e - 1):
+                exact = mp.fmul(exact, c, exact=True)
+            return +exact
+
+        tables = [[1, c] + [power(c, e) for e in range(2, _TOP_POWER + 1)] for c in image.coeffs[:6]]
+        i2, i4, i6 = (_eval_terms(t, tables) for t in (I2_TERMS, I4_TERMS, I6_TERMS))
+        i10 = -mpc(_resultant_f_fprime(image.coeffs, prec))
+        return (i2, i4, i6, i10), (power(i2, 5) / i10, power(i2, 3) * i4 / i10, power(i2, 2) * i6 / i10)
+
+
+@pytest.mark.parametrize("prec", [300, 2400])
+def test_invariants_of_images_are_bit_identical_to_the_tables_over_mpc(prec):
+    images = _images(GENERIC, prec) + _images(MODEL_MOVE, prec)
+    for image in images:
+        clebsch, triple = _mpc_invariants(image)
+        assert [v._mpc_ for v in igusa_clebsch(image)] == [v._mpc_ for v in clebsch]
+        assert [v._mpc_ for v in absolute_igusa(image)] == [v._mpc_ for v in triple]
+        assert g2curve.absolute_j1(image)._mpc_ == triple[0]._mpc_
 
 
 def _adversarial_sextics(prec):
@@ -379,7 +414,7 @@ def _adversarial_sextics(prec):
 @pytest.mark.parametrize("prec", [300, 301, 555, 1200, 2400])
 def test_resultant_of_adversarial_sextics_is_bit_identical_to_full_row_elimination(prec):
     for coeffs in _adversarial_sextics(prec):
-        got = _resultant_f_fprime(coeffs, prec)
+        got = mpc(_resultant_f_fprime(coeffs, prec))
         want = _full_row_resultant(coeffs, prec)
         assert (got.real._mpf_, got.imag._mpf_) == (want.real._mpf_, want.imag._mpf_)
 

@@ -5,11 +5,13 @@ import random
 from fractions import Fraction
 from types import SimpleNamespace
 
+import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 
 from g2modpoly.exactnum import (
     ComplexPoly,
+    RoundedComplex,
     horner,
     mpf_to_fraction,
     poly_from_roots,
@@ -17,7 +19,7 @@ from g2modpoly.exactnum import (
     to_mpc,
     tolerance,
 )
-from g2modpoly import g2curve, modp, modpoly
+from g2modpoly import g2curve, modp, modpoly, richelot
 from g2modpoly.g2curve import Genus2Curve, SingularCurveError, absolute_igusa, transform_model
 from g2modpoly.modpoly import (
     DEFAULT_DENOM_BOUND,
@@ -228,7 +230,7 @@ def test_p2_build_never_evaluates_i4_or_i6_of_an_image(monkeypatch):
     evaluated = []
 
     def spy(terms, tables):
-        evaluated.append((terms, isinstance(tables[0][1], mpc)))
+        evaluated.append((terms, isinstance(tables[0][1], RoundedComplex)))
         return raw(terms, tables)
 
     raw = g2curve._eval_terms
@@ -237,6 +239,26 @@ def test_p2_build_never_evaluates_i4_or_i6_of_an_image(monkeypatch):
     on_images = [terms for terms, complex_model in evaluated if complex_model]
     assert len(on_images) == 15
     assert all(terms is I2_TERMS for terms in on_images)
+
+
+def test_images_their_invariants_and_the_expansion_do_no_mpc_arithmetic(monkeypatch):
+    # after the roots and the factorizations, P2 is built over RoundedComplex:
+    # mpc values are only converted at the boundaries
+    triples = richelot.enumerate_factorizations(curve(*GENERIC), 300)
+    calls = []
+    for module in (mpmath.ctx_mp_python, mpmath.ctx_mp):
+        for name in ("mpc_add", "mpc_add_mpf", "mpc_sub", "mpc_sub_mpf", "mpc_mul", "mpc_mul_mpf",
+                     "mpc_mul_int", "mpc_div", "mpc_div_mpf", "mpc_pow_int", "mpc_neg", "mpc_pos"):
+            raw = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, raw=raw, name=name: calls.append(name) or raw(*args))
+    with mp.workprec(64):
+        assert mpc(1) + mpc(2) == 3 and calls     # the spies see mpmath's operators
+    calls.clear()
+    images = [richelot.richelot_image(t).image for t in triples]
+    ComplexPoly.from_roots([g2curve.absolute_j1(image) for image in images], 300)
+    g2curve.absolute_igusa(images[0])
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,19 @@ import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 
-from g2modpoly.exactnum import WORK_GUARD, PrecisionError, horner, poly_mul, to_mpc, tolerance
+from g2modpoly.exactnum import WORK_GUARD, PrecisionError, horner, negligible, poly_mul, to_mpc, tolerance
 from g2modpoly import richelot
 from g2modpoly.g2curve import Genus2Curve, absolute_igusa
 from g2modpoly.richelot import (
+    MOVE_SHIFTS,
     QuadraticTriple,
     all_isogenous_invariants,
     bracket,
     complex_roots,
     dual_triple,
     enumerate_factorizations,
+    image_sextic,
+    moved_model,
     pair_partitions_of_six,
     richelot_delta,
     richelot_image,
@@ -416,6 +419,37 @@ def test_degenerate_bracket_falls_back_and_matches_moved_model():
     with mp.workprec(PREC + 64):
         for g, w in zip((got.j1, got.j2, got.j3), (want.j1, want.j2, want.j3)):
             assert abs(g - w) <= tol * max(mpf(1), abs(w)) * 2**40
+
+
+def _mpc_image(triple):
+    """delta and the image's coefficients by the ring-generic formulas over mpc
+    at the working precision: the reference for ``richelot_image``."""
+    p = triple.prec
+    with mp.workprec(p + WORK_GUARD):
+        delta = richelot_delta(triple.quads)
+        if negligible(delta, p, [c for q in triple.quads for c in q], 3):
+            return delta, None
+        g = image_sextic(triple.quads)
+        if negligible(g[6], p, g):
+            values = [abs(horner(g, mpc(t))) for t in MOVE_SHIFTS]
+            g = moved_model(g, mpc(MOVE_SHIFTS[values.index(max(values))]))
+        return delta, [x / g[6] for x in g[:6]] + [mpc(1)]
+
+
+@pytest.mark.parametrize("prec", [300, 2400])
+def test_image_is_bit_identical_to_its_formulas_over_mpc(prec):
+    # a generic curve, one with five images that need the model move, and
+    # one with split steps
+    triples = [t for coeffs in (GENERIC, coeffs_from_roots([F(r) for r in (0, 1, 2, 3, 5, 6)]),
+                                SPLIT_WITNESS)
+               for t in enumerate_factorizations(curve(*coeffs), prec)]
+    for triple in triples:
+        step = richelot_image(triple)
+        delta, coeffs = _mpc_image(triple)
+        assert step.delta._mpc_ == delta._mpc_
+        assert (step.image is None) == (coeffs is None)
+        if coeffs is not None:
+            assert [c._mpc_ for c in step.image.coeffs] == [c._mpc_ for c in coeffs]
 
 
 def test_dual_triple_rejects_degenerate_brackets():

@@ -43,7 +43,8 @@ def test_report_digests_runs(capsys):
                "modpoly ftilde --k 2", "modpoly ftilde --k 3",
                "curve validate", "modpoly l2"]
     assert labels == reports + [f"moved {r}" for r in reports] + [
-        "evaluated_P2 300 bits", "elimination 300 and 2400 bits",
+        "evaluated_P2 300 bits", "evaluated_P2 2400 bits", "elimination 300 and 2400 bits",
+        "image absolute_igusa 300 and 2400 bits",
         "complex_roots 300 bits", "complex_roots 2400 bits",
         "cluster complex_roots 300 bits", "cluster complex_roots 2400 bits",
         "reconstruct 2^800 cap 4200", "certifying prime 2^800 cap 4200"]
