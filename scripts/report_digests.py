@@ -30,8 +30,10 @@ images, at the same precisions. It prints the same digest of the six roots
 ``complex_roots`` gives at 300 and at 2400 bits over the same curves, and
 over a fixed set of close pairs, marked ``cluster`` (roots b, b + 2^-g,
 5/2, -2, 3, -7/3 for b in {1/3, 2/7} and g in {12, 16, 20, 24, 40, 80}),
-so that every way of seeding the roots is compared. Then it prints the
-sha256 of ``(prec, rational_p2)`` from
+so that every way of seeding the roots is compared. It prints the sha256
+of ``(p, P2 mod p)`` from ``modp.p2_mod_p`` over the same curves at each
+curve's first five usable primes, so that P2 over F_{p^2} is compared
+value for value. Then it prints the sha256 of ``(prec, rational_p2)`` from
 the ``recon-ladder-800`` operation (``evaluated_P2(..., reconstruct=True)``
 under 2^800 up to 4200 bits) on the first ``--recon`` curves, and the
 sha256 of the prime at which ``modp.check_mod_p`` certifies each curve's
@@ -47,6 +49,7 @@ import json
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -117,6 +120,18 @@ def image_invariants(curve, prec):
             if triple is not None for j in triple]
 
 
+def p2_mod_p_digest(curves):
+    """sha256 of ``(p, P2 mod p)`` at each curve's first five primes, in the
+    order ``check_mod_p`` tries them, at which ``p2_mod_p`` is defined."""
+    digest = hashlib.sha256()
+    for curve in curves:
+        reductions = ((p, modp.p2_mod_p([modp._reduce(v, p) for v in curve.coeffs], p))
+                      for p in modp._candidate_primes())
+        found = ((p, [(c.re, c.im) for c in p2]) for p, p2 in reductions if p2 is not None)
+        digest.update(f"{list(islice(found, 5))}\n".encode())
+    return digest.hexdigest()
+
+
 def ladder_digests(curves):
     """sha256 of ``(prec, rational_p2)`` per curve, and of the prime at which
     ``check_mod_p`` certifies those rationals (None for a refused curve)."""
@@ -160,6 +175,7 @@ def main(argv=None):
         for prec in (300, 2400):
             print(f"{label}complex_roots {prec} bits: "
                   f"{bits_digest(richelot.complex_roots, chosen, prec)}")
+    print(f"p2_mod_p first 5 usable primes: {p2_mod_p_digest(curves[:args.curves])}")
     rationals, primes = ladder_digests(curves[:args.recon])
     print(f"reconstruct 2^800 cap 4200: {rationals}")
     print(f"certifying prime 2^800 cap 4200: {primes}")

@@ -258,21 +258,14 @@ def _quotient(z: tuple, w: tuple, norm: Tuple[int, int], prec: int) -> tuple:
     return _rounded_quotient(*t, *norm, prec), _rounded_quotient(*u, *norm, prec)
 
 
-def _product(z: tuple, w: tuple, prec: int) -> tuple:
-    """``mpc_mul`` to nearest at ``prec`` bits: ac - bd and ad + bc of exact products."""
-    (am, ae), (bm, be) = z
-    (cm, ce), (dm, de) = w
-    return (_rounded_sum(am * cm, ae + ce, -bm * dm, be + de, prec, False),
-            _rounded_sum(am * dm, ae + de, bm * cm, be + ce, prec, False))
-
-
 class RoundedComplex:
     """A complex value as its parts' int pairs (``mpc_to_pairs``), whose ``+``, ``-``,
     ``*``, ``/`` and unary ``-`` round bit for bit as mpmath's mpc operators round
     to nearest at ``prec`` bits: ``n + x`` for an int n rounds the real part alone,
     ``n * x`` each part times n once, and ``/`` rounds |y|**2 and the numerators
     down at prec + 10 bits. ``x ** k`` is the exact power rounded once, which
-    x * x is not on ``mpf_add``'s perturbed path. ``mpc(x)`` is x unrounded."""
+    x * x is not on ``mpf_add``'s perturbed path. ``mpc(x)`` is x unrounded,
+    and x is false only when it is an exact zero."""
 
     __slots__ = ("parts", "prec")
 
@@ -291,6 +284,9 @@ class RoundedComplex:
     def __abs__(self) -> mpf:
         return abs(mp.make_mpc(self._mpc_))
 
+    def __bool__(self) -> bool:
+        return bool(self.parts[0][0] or self.parts[1][0])
+
     def __add__(self, other):
         (am, ae), im = self.parts
         if isinstance(other, int):
@@ -302,18 +298,22 @@ class RoundedComplex:
     __radd__ = __add__
 
     def __sub__(self, other):
+        (am, ae), (bm, be) = self.parts
         (cm, ce), (dm, de) = other.parts
-        return self + RoundedComplex(((-cm, ce), (-dm, de)), other.prec)
+        return RoundedComplex((_rounded_sum(am, ae, -cm, ce, self.prec, False),
+                               _rounded_sum(bm, be, -dm, de, self.prec, False)), self.prec)
 
     def __neg__(self):
         return self * -1
 
     def __mul__(self, other):
+        (am, ae), (bm, be) = self.parts
         if isinstance(other, int):
-            (am, ae), (bm, be) = self.parts
             return RoundedComplex((_rounded_sum(am * other, ae, 0, 0, self.prec, False),
                                    _rounded_sum(bm * other, be, 0, 0, self.prec, False)), self.prec)
-        return RoundedComplex(_product(self.parts, other.parts, self.prec), self.prec)
+        (cm, ce), (dm, de) = other.parts   # mpc_mul: ac - bd and ad + bc of exact products
+        return RoundedComplex((_rounded_sum(am * cm, ae + ce, -bm * dm, be + de, self.prec, False),
+                               _rounded_sum(am * dm, ae + de, bm * cm, be + ce, self.prec, False)), self.prec)
 
     __rmul__ = __mul__
 
@@ -332,10 +332,10 @@ class RoundedComplex:
                                _rounded_sum(im, k * e, 0, 0, self.prec, False)), self.prec)
 
 
-def first_largest_modulus(zs: Sequence[tuple], prec: int) -> int:
-    """Index of the first value in ``zs`` (``mpc_to_pairs``) with the largest
-    modulus rounded to ``prec`` bits, as ``max(range(len(zs)), key=lambda
-    i: abs(zs[i]))`` picks it at ``prec``.
+def first_largest_modulus(zs: Sequence[RoundedComplex], prec: int) -> int:
+    """Index of the first value in ``zs`` with the largest modulus rounded
+    to ``prec`` bits, as ``max(range(len(zs)), key=lambda i: abs(zs[i]))``
+    picks it at ``prec``.
 
     Ranked by the exact norms re**2 + im**2; rounded ``abs`` is taken only
     for the entries whose norms lie within 2**(4-prec) of the largest, the
@@ -343,7 +343,7 @@ def first_largest_modulus(zs: Sequence[tuple], prec: int) -> int:
     ``g2curve._resultant_f_fprime``, the pivot search this serves).
     """
     norms = []
-    for (am, ae), (bm, be) in zs:
+    for (am, ae), (bm, be) in (z.parts for z in zs):
         if not am or (bm and ae > be):
             am, ae, bm, be = bm, be, am, ae
         norms.append((am * am + (bm * bm << 2 * (be - ae)) if bm else am * am, 2 * ae))
@@ -357,7 +357,7 @@ def first_largest_modulus(zs: Sequence[tuple], prec: int) -> int:
         return close[0]
     best, best_abs = None, None
     for i in close:
-        modulus = mpc_abs(tuple(from_man_exp(m, e) for m, e in zs[i]), prec, round_nearest)
+        modulus = mpc_abs(zs[i]._mpc_, prec, round_nearest)
         if best is None or mpf_cmp(modulus, best_abs) > 0:
             best, best_abs = i, modulus
     return best

@@ -12,11 +12,11 @@ Invariants come in two flavours:
   (2, 4, 6, 10) in the coefficients of a general sextic, normalized so that
   they agree with the symmetric root-difference sums (I10 is the
   discriminant of the monic sextic). I2, I4, I6 are evaluated from frozen
-  integer coefficient formulas (igusa_data.py) over one power table
-  [1, c, ..., c^4] per coefficient, shared by all three; complex
-  coefficients are evaluated as ``exactnum.RoundedComplex`` values, each
-  power exact and rounded once. I10 = -Res(f, f') comes from an
-  elimination on their int pairs (``_resultant_f_fprime``). For a rational
+  integer coefficient formulas (igusa_data.py) by ``_eval_terms``, which
+  takes each power c^e that a table reads once; complex coefficients are
+  evaluated as ``exactnum.RoundedComplex`` values, each power exact and
+  rounded once. I10 = -Res(f, f') comes from a Gaussian elimination over
+  the same values (``_resultant_f_fprime``). For a rational
   curve all four come from ``exact_clebsch``: the curve is first moved to
   its integral model D^6 f(x/D), D the least common denominator, where the
   tables and I10 (``exactnum.bareiss_det`` of the integer Sylvester matrix)
@@ -28,9 +28,9 @@ Invariants come in two flavours:
   j1 = I2^5/I10, j2 = I2^3 I4/I10, j3 = I2^2 I6/I10, each power of I2
   exact (rounded once for a complex curve), as an ``IgusaTriple``: a named
   tuple, read by name (``.j1``) or as the plain tuple (j1, j2, j3).
-  ``absolute_j1`` is j1 alone, from I2 and I10 only (power tables up to
-  c^2), bit for bit the same value; the evaluated P2 needs nothing else
-  of the 15 Richelot images.
+  ``absolute_j1`` is j1 alone, from I2 and I10 only (c3^2 is its one
+  power of a coefficient), bit for bit the same value; the evaluated P2
+  needs nothing else of the 15 Richelot images.
   These are invariant under Moebius changes of the x coordinate and under
   quadratic twists, so they classify the curve up to isomorphism over an
   algebraically closed field (away from I2 = 0).
@@ -55,9 +55,6 @@ from .exactnum import (
     RoundedComplex,
     Scalar,
     WORK_GUARD,
-    _product,
-    _quotient,
-    _rounded_sum,
     bareiss_det,
     first_largest_modulus,
     format_rational,
@@ -131,22 +128,6 @@ def validate_curve(coeffs: Sequence[Union[int, Fraction, str]]) -> Genus2Curve:
     return Genus2Curve(tuple(parsed))
 
 
-def _power_table(c: Scalar, top: int) -> List[Scalar]:
-    """[1, c, c^2, ..., c^top] by plain products, for exact c and over F_{p^2};
-    a RoundedComplex c takes ``c ** e``, exact and rounded once, instead."""
-    table = [1, c]
-    for _ in range(top - 1):
-        table.append(table[-1] * c)
-    return table
-
-
-#: the largest exponent of any coefficient in the I2, I4 and I6 tables
-_TOP_POWER = max(e for terms in (I2_TERMS, I4_TERMS, I6_TERMS) for mono in terms for e in mono)
-
-#: the largest exponent of any coefficient in the I2 table
-_I2_TOP = max(e for mono in I2_TERMS for e in mono)
-
-
 def _d_weight(terms) -> int:
     """The power of D by which x -> x/D multiplies the value of a table.
 
@@ -164,15 +145,22 @@ assert all(_d_weight((mono,)) == _d_weight(terms)
 _I10_D_WEIGHT = 5 * _d_weight(I2_TERMS)
 
 
-def _eval_terms(terms, tables):
-    """Evaluate a frozen exponent-vector table from the power tables of c0..c5."""
+def _eval_terms(terms, values):
+    """Evaluate a frozen exponent-vector table at ``values`` (c0, c1, ...).
+
+    Each power ``v ** e`` that the table reads is taken once per call (v
+    itself for e = 1): exact for ints, Fractions and F_{p^2}, exact and
+    rounded once for a RoundedComplex.
+    """
+    powers = {}
     total = None
     for mono, coeff in terms.items():
         acc = None
-        for e, powers in zip(mono, tables):
+        for k, e in enumerate(mono):
             if e:
-                part = powers[e]
-                acc = part if acc is None else acc * part
+                if (k, e) not in powers:
+                    powers[k, e] = values[k] if e == 1 else values[k] ** e
+                acc = powers[k, e] if acc is None else acc * powers[k, e]
         term = coeff if acc is None else coeff * acc
         total = term if total is None else total + term
     return total
@@ -192,9 +180,9 @@ def _resultant_f_fprime(coeffs: Sequence[Scalar], prec: int) -> RoundedComplex:
     """Res(f, f') for monic sextic f with complex coefficients, constant first.
 
     Gaussian elimination of the 11x11 Sylvester matrix over RoundedComplex
-    at ``work = prec + WORK_GUARD`` bits, on its entries' int pairs, each
-    operation rounded bit for bit as the mpc operators ``mpc_mul``,
-    ``mpc_sub`` and ``mpc_div`` round it (|pivot|**2 taken once per column). Only the
+    at ``work = prec + WORK_GUARD`` bits, with its operators, so each step
+    rounds bit for bit as the mpc operators ``mpc_mul``, ``mpc_sub`` and
+    ``mpc_div`` round it (each division takes |pivot|**2 itself). Only the
     columns k+1..10 of the rows below the pivot are updated (no later step
     reads the others), and an update x - fct*y by an exact zero y is
     skipped: it rounds x to ``work`` bits, which leaves x as it is unless a
@@ -216,36 +204,30 @@ def _resultant_f_fprime(coeffs: Sequence[Scalar], prec: int) -> RoundedComplex:
     size = 11
     work = prec + WORK_GUARD
     zero = RoundedComplex.of(0, work)
-    a = [[z.parts for z in row]
-         for row in _sylvester_f_fprime([RoundedComplex.of(c, work) for c in coeffs], zero)]
-    skip_zero = all(m.bit_length() <= work for z in a[0] for m, _ in z)
-    det = ((1, 0), (0, 0))
+    a = _sylvester_f_fprime([RoundedComplex.of(c, work) for c in coeffs], zero)
+    skip_zero = all(m.bit_length() <= work for z in a[0] for m, _ in z.parts)
+    det = RoundedComplex.of(1, work)
     for k in range(size):
         piv = k + first_largest_modulus([a[i][k] for i in range(k, size)], work)
-        (cm, ce), (dm, de) = a[piv][k]
-        if not (cm or dm):
+        if not a[piv][k]:
             return zero
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
-            det = tuple((-m, e) for m, e in det)
+            det = -det
         pivot = a[k]
-        det = _product(det, pivot[k], work)
-        norm = _rounded_sum(cm * cm, 2 * ce, dm * dm, 2 * de, work + 10, True)
-        cols = [j for j in range(k + 1, size) if not skip_zero or pivot[j][0][0] or pivot[j][1][0]]
+        det = det * pivot[k]
+        cols = [j for j in range(k + 1, size) if not skip_zero or pivot[j]]
         for row in a[k + 1:]:
-            if row[k][0][0] or row[k][1][0]:
-                fct = _quotient(row[k], pivot[k], norm, work)
+            if row[k]:
+                fct = row[k] / pivot[k]
                 for j in cols:
-                    (xm, xe), (ym, ye) = row[j]
-                    (pm, pe), (qm, qe) = _product(fct, pivot[j], work)
-                    row[j] = (_rounded_sum(xm, xe, -pm, pe, work, False),
-                              _rounded_sum(ym, ye, -qm, qe, work, False))
-    return RoundedComplex(det, work)
+                    row[j] = row[j] - fct * pivot[j]
+    return det
 
 
 def igusa_clebsch(curve: Genus2Curve) -> Tuple[Scalar, Scalar, Scalar, Scalar]:
     """(I2, I4, I6, I10); exact Fractions for exact curves, mpc otherwise."""
-    return _returned(curve, _clebsch(curve, (I2_TERMS, I4_TERMS, I6_TERMS), _TOP_POWER))
+    return _returned(curve, _clebsch(curve, (I2_TERMS, I4_TERMS, I6_TERMS)))
 
 
 def _returned(curve: Genus2Curve, values: Sequence) -> tuple:
@@ -253,19 +235,18 @@ def _returned(curve: Genus2Curve, values: Sequence) -> tuple:
     return tuple(values) if curve.is_exact else tuple(to_mpc(v, curve.working_prec()) for v in values)
 
 
-def _clebsch(curve: Genus2Curve, terms: Sequence[dict], top: int) -> Tuple[Scalar, ...]:
-    """The frozen tables ``terms`` evaluated over power tables up to c^``top``, then I10.
+def _clebsch(curve: Genus2Curve, terms: Sequence[dict]) -> Tuple[Scalar, ...]:
+    """The frozen tables ``terms`` evaluated at the coefficients, then I10.
 
     A complex curve's values are RoundedComplex. A power c^e is the same
-    value whatever ``top`` is, so I2 does not depend on whether I4 and I6
-    are evaluated beside it.
+    value whichever tables read it, so I2 does not depend on whether I4
+    and I6 are evaluated beside it.
     """
     if curve.is_exact:
-        return exact_clebsch(curve.coeffs, terms, top)
+        return exact_clebsch(curve.coeffs, terms)
     prec = curve.working_prec()
     coeffs = [RoundedComplex.of(c, prec + WORK_GUARD) for c in curve.coeffs]
-    tables = [[1, c] + [c**e for e in range(2, top + 1)] for c in coeffs[:6]]
-    return (*(_eval_terms(t, tables) for t in terms), -_resultant_f_fprime(coeffs, prec))
+    return (*(_eval_terms(t, coeffs) for t in terms), -_resultant_f_fprime(coeffs, prec))
 
 
 def _integral_model(coeffs: Sequence[Union[int, Fraction]]) -> Tuple[int, List[int]]:
@@ -278,19 +259,18 @@ def _integral_model(coeffs: Sequence[Union[int, Fraction]]) -> Tuple[int, List[i
     return d, [c.numerator * d ** (6 - k) // c.denominator for k, c in enumerate(coeffs)]
 
 
-def exact_clebsch(coeffs: Sequence[Union[int, Fraction]], terms: Sequence[dict], top: int) -> tuple:
+def exact_clebsch(coeffs: Sequence[Union[int, Fraction]], terms: Sequence[dict]) -> tuple:
     """The frozen tables ``terms``, then I10, for a monic rational sextic.
 
     ``coeffs`` are the seven coefficients, constant first, ints and
     Fractions. They are first moved to the integral model
-    (``_integral_model``); the tables are evaluated there over int power
-    tables up to c^``top``, and I10 = -Res(f, f') is ``bareiss_det`` of the
-    integer Sylvester matrix. Each value is divided by D to its table's
-    D-weight, so the Fractions are the values on f itself.
+    (``_integral_model``); the tables are evaluated there over ints, and
+    I10 = -Res(f, f') is ``bareiss_det`` of the integer Sylvester matrix.
+    Each value is divided by D to its table's D-weight, so the Fractions
+    are the values on f itself.
     """
     d, coeffs = _integral_model(coeffs)
-    tables = [_power_table(c, top) for c in coeffs[:6]]
-    values = [_eval_terms(t, tables) for t in terms]
+    values = [_eval_terms(t, coeffs) for t in terms]
     values.append(-bareiss_det(_sylvester_f_fprime(coeffs, 0)))
     weights = [_d_weight(t) for t in terms] + [_I10_D_WEIGHT]
     return tuple(Fraction(v, d ** s) for v, s in zip(values, weights))
@@ -308,7 +288,7 @@ def _require_nonsingular(curve: Genus2Curve, i10: Scalar) -> None:
 
 def absolute_igusa(curve: Genus2Curve) -> IgusaTriple:
     """The weight-zero triple (I2^5, I2^3 I4, I2^2 I6) / I10."""
-    i2, i4, i6, i10 = _clebsch(curve, (I2_TERMS, I4_TERMS, I6_TERMS), _TOP_POWER)
+    i2, i4, i6, i10 = _clebsch(curve, (I2_TERMS, I4_TERMS, I6_TERMS))
     with mp.workprec(curve.working_prec() + WORK_GUARD):
         _require_nonsingular(curve, i10)
     return IgusaTriple(*_returned(curve, (i2**5 / i10, i2**3 * i4 / i10, i2**2 * i6 / i10)))
@@ -317,10 +297,11 @@ def absolute_igusa(curve: Genus2Curve) -> IgusaTriple:
 def absolute_j1(curve: Genus2Curve) -> Scalar:
     """j1 = I2^5 / I10 alone, equal bit for bit to ``absolute_igusa(curve).j1``.
 
-    Only I2 (over power tables up to c^2) and I10 are evaluated, and the
-    curve is refused as singular exactly when ``absolute_igusa`` refuses it.
+    Only I2 (whose table reads no power but c3^2) and I10 are evaluated,
+    and the curve is refused as singular exactly when ``absolute_igusa``
+    refuses it.
     """
-    i2, i10 = _clebsch(curve, (I2_TERMS,), _I2_TOP)
+    i2, i10 = _clebsch(curve, (I2_TERMS,))
     with mp.workprec(curve.working_prec() + WORK_GUARD):
         _require_nonsingular(curve, i10)
     return _returned(curve, (i2**5 / i10,))[0]

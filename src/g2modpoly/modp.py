@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence
 
 from .exactnum import horner, poly_from_roots
-from .g2curve import Genus2Curve, _I2_TOP, _eval_terms, _power_table
+from .g2curve import Genus2Curve, _eval_terms
 from .igusa_data import I2_TERMS
 from .richelot import (
     MOVE_SHIFTS,
@@ -108,6 +108,13 @@ class Fp2:
         return Fp2(self.re * other, self.im * other, self.p)
 
     __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "Fp2":
+        """self ** k for k >= 1, by plain products."""
+        out = self
+        for _ in range(k - 1):
+            out = out * self
+        return out
 
     def __rtruediv__(self, other):
         """other / (a + b i) = other (a - b i) / (a^2 + b^2), for other in F_p."""
@@ -203,10 +210,8 @@ def _image_j1(quads) -> Optional[Fp2]:
     if not g[6]:
         g = moved_model(g, next(t for t in MOVE_SHIFTS if horner(g, t)))
     inv = 1 / g[6]
-    i2 = _eval_terms(I2_TERMS, [_power_table(x * inv, _I2_TOP) for x in g[:6]])
-    w = i2 * g[6] * g[6]   # (I2 lead^2)^5 / (I10 lead^10) = I2^5 / I10
-    sq = w * w
-    return sq * sq * w / disc
+    i2 = _eval_terms(I2_TERMS, [x * inv for x in g[:6]])
+    return (i2 * g[6] * g[6]) ** 5 / disc   # (I2 lead^2)^5 / (I10 lead^10) = I2^5 / I10
 
 
 def _res(u, v):

@@ -48,7 +48,7 @@ from .exactnum import (
     relative_deviation,
     tolerance,
 )
-from .g2curve import Genus2Curve, IgusaTriple, _eval_terms, _power_table, absolute_igusa, absolute_j1
+from .g2curve import Genus2Curve, IgusaTriple, _eval_terms, absolute_igusa, absolute_j1
 from .modp import check_mod_p
 from .richelot import _collision, all_isogenous_invariants
 
@@ -119,9 +119,6 @@ _L2_DEGREE = max(sum(mono) for mono in L2_TERMS)
 #: ``L2_TERMS`` homogenized in (n1, n2, n3, d), for the point j_k = n_k / d
 _L2_HOMOGENEOUS = {(*mono, _L2_DEGREE - sum(mono)): coeff for mono, coeff in L2_TERMS.items()}
 
-#: the largest exponent of n1, n2, n3 and d in ``_L2_HOMOGENEOUS``
-_L2_TOPS = tuple(max(mono[k] for mono in _L2_HOMOGENEOUS) for k in range(4))
-
 
 class SplitInputError(ValueError):
     """The input curve is (2,2)-isogenous to a split surface, so the
@@ -140,7 +137,8 @@ def l2_evaluate(j: Sequence) -> Fraction:
     not an int or a Fraction (a float, an mpc value) is refused with
     ValueError. The triple is put on its least common denominator d,
     j_k = n_k / d; the homogenized table is evaluated over ints at
-    (n1, n2, n3, d) and divided once by d^7, its degree.
+    (n1, n2, n3, d) by ``_eval_terms``, each power it reads taken once, and
+    divided once by d^7, its degree.
     """
     point = tuple(j)
     if len(point) != 3:
@@ -149,8 +147,7 @@ def l2_evaluate(j: Sequence) -> Fraction:
         raise ValueError("the split-locus polynomial is evaluated at rational triples only")
     d = math.lcm(*(v.denominator for v in point))
     ints = [v.numerator * (d // v.denominator) for v in point] + [d]
-    tables = [_power_table(v, top) for v, top in zip(ints, _L2_TOPS)]
-    return Fraction(_eval_terms(_L2_HOMOGENEOUS, tables), d ** _L2_DEGREE)
+    return Fraction(_eval_terms(_L2_HOMOGENEOUS, ints), d ** _L2_DEGREE)
 
 
 # ---------------------------------------------------------------------------

@@ -404,7 +404,7 @@ def _restore_degree(g: Sequence[RoundedComplex], prec: int) -> Tuple[RoundedComp
     """
     work = prec + WORK_GUARD
     values = [horner(g, RoundedComplex.of(t, work)) for t in MOVE_SHIFTS]
-    best = first_largest_modulus([v.parts for v in values], work)
+    best = first_largest_modulus(values, work)
     if negligible(values[best], prec, g):
         raise PrecisionError("could not renormalize a degenerate image model")
     return moved_model(g, RoundedComplex.of(MOVE_SHIFTS[best], work))

@@ -312,7 +312,7 @@ def test_pivot_choice_matches_max_of_rounded_abs_on_near_ties(bits, re, im, exp,
         z = mpc(re, im) * (mp.sqrt(mpf(2)) + mp.pi * 1j) * mp.ldexp(mpf(1), exp)
         zs = [_variant(z, name, bits) for name in names]
         zs += [mpc(a, b) * mp.ldexp(mpf(1), exp) for a, b in others]
-    assert first_largest_modulus([mpc_to_pairs(v) for v in zs], bits) == _abs_pivot(zs, bits)
+    assert first_largest_modulus([RoundedComplex.of(v, bits) for v in zs], bits) == _abs_pivot(zs, bits)
 
 
 @pytest.mark.parametrize("bits", [364, 2464])
@@ -332,8 +332,8 @@ def test_pivot_choice_breaks_near_ties_like_max(bits, monkeypatch):
         [mpc(0), _variant(z, "neg", bits), z],
     ]
     for zs in columns:
-        assert first_largest_modulus([mpc_to_pairs(v) for v in zs], bits) == _abs_pivot(zs, bits)
-    assert first_largest_modulus([mpc_to_pairs(w), mpc_to_pairs(w_up)], bits) == 0
+        assert first_largest_modulus([RoundedComplex.of(v, bits) for v in zs], bits) == _abs_pivot(zs, bits)
+    assert first_largest_modulus([RoundedComplex.of(w, bits), RoundedComplex.of(w_up, bits)], bits) == 0
     # equal exact norms: the rounded-abs comparison runs, and the first wins
     calls = []
     monkeypatch.setattr(exactnum, "mpc_abs", lambda *args: calls.append(args) or mpc_abs(*args))
@@ -342,7 +342,7 @@ def test_pivot_choice_breaks_near_ties_like_max(bits, monkeypatch):
         tiny = [v * mp.ldexp(1, -300) for v in tied]
     for zs in (tied[:3], tied[::-1], tiny, [tiny[2], mpc(0), tiny[0]]):
         calls.clear()
-        got = first_largest_modulus([mpc_to_pairs(v) for v in zs], bits)
+        got = first_largest_modulus([RoundedComplex.of(v, bits) for v in zs], bits)
         assert got == _abs_pivot(zs, bits) == 0
         assert len(calls) >= 2
 

@@ -30,14 +30,12 @@ from g2modpoly.exactnum import (
 )
 from g2modpoly.g2curve import (
     _I10_D_WEIGHT,
-    _TOP_POWER,
     Genus2Curve,
     IgusaTriple,
     NotMonicError,
     SingularCurveError,
     _d_weight,
     _eval_terms,
-    _power_table,
     _resultant_f_fprime,
     _sylvester_f_fprime,
     absolute_igusa,
@@ -137,10 +135,9 @@ def test_invariants_match_oracle_on_rational_root_curves():
 
 
 def _fraction_clebsch(coeffs):
-    """(I2, I4, I6, I10) evaluated over Fractions: the power tables of the
+    """(I2, I4, I6, I10) evaluated over Fractions: the tables at the
     coefficients themselves, and I10 by elimination over the rationals."""
-    tables = [_power_table(F(c), _TOP_POWER) for c in coeffs[:6]]
-    values = [_eval_terms(t, tables) for t in (I2_TERMS, I4_TERMS, I6_TERMS)]
+    values = [_eval_terms(t, [F(c) for c in coeffs]) for t in (I2_TERMS, I4_TERMS, I6_TERMS)]
     return (*values, -field_det(_sylvester_f_fprime([F(c) for c in coeffs], 0)))
 
 
@@ -245,14 +242,20 @@ def _round_dyadic(x):
     return mpf((x.numerator, -shift))
 
 
+def _powers_read(x):
+    """c^0, ..., c^5 at c = x, each as ``_eval_terms`` reads it for the
+    monomial c^e (coefficient 1); mpc for a RoundedComplex x."""
+    values = [_eval_terms({(e,): 1}, [x]) for e in range(6)]
+    return [mpc(v) for v in values] if isinstance(x, RoundedComplex) else values
+
+
 @pytest.mark.parametrize("bits", [364, 1264])
 def test_power_table_is_bit_identical_to_mpc_pow_on_the_exact_path(bits):
     rng = random.Random(bits)
     with mp.workprec(bits):
         for _ in range(40):
             c = _random_mpc(rng, bits)
-            x = RoundedComplex.of(c, bits)
-            table = [1, c] + [mpc(x**e) for e in range(2, 6)]
+            table = _powers_read(RoundedComplex.of(c, bits))
             for e in range(2, 6):
                 want = c**e
                 assert table[e].real._mpf_ == want.real._mpf_, e
@@ -265,8 +268,7 @@ def test_power_table_is_the_correctly_rounded_power_at_high_precision():
     with mp.workprec(bits):
         for _ in range(10):
             c = _random_mpc(rng, bits)
-            x = RoundedComplex.of(c, bits)
-            table = [1, c] + [mpc(x**e) for e in range(2, 6)]
+            table = _powers_read(RoundedComplex.of(c, bits))
             a, b = mpf_to_fraction(c.real), mpf_to_fraction(c.imag)
             re, im = F(1), F(0)
             for e in range(1, 6):
@@ -276,7 +278,7 @@ def test_power_table_is_the_correctly_rounded_power_at_high_precision():
 
 
 def test_power_table_of_a_fraction_is_exact():
-    assert _power_table(F(-2, 3), 4) == [1, F(-2, 3), F(4, 9), F(-8, 27), F(16, 81)]
+    assert _powers_read(F(-2, 3)) == [1, F(-2, 3), F(4, 9), F(-8, 27), F(16, 81), F(-32, 243)]
 
 
 def test_numeric_invariants_at_4200_bits_match_the_exact_ones():
@@ -360,8 +362,20 @@ def _mpc_invariants(image):
                 exact = mp.fmul(exact, c, exact=True)
             return +exact
 
-        tables = [[1, c] + [power(c, e) for e in range(2, _TOP_POWER + 1)] for c in image.coeffs[:6]]
-        i2, i4, i6 = (_eval_terms(t, tables) for t in (I2_TERMS, I4_TERMS, I6_TERMS))
+        def table(terms):
+            # ``_eval_terms``' order of operations
+            total = None
+            for mono, coeff in terms.items():
+                acc = None
+                for c, e in zip(image.coeffs, mono):
+                    if e:
+                        part = c if e == 1 else power(c, e)
+                        acc = part if acc is None else acc * part
+                term = coeff if acc is None else coeff * acc
+                total = term if total is None else total + term
+            return total
+
+        i2, i4, i6 = (table(t) for t in (I2_TERMS, I4_TERMS, I6_TERMS))
         i10 = -mpc(_resultant_f_fprime(image.coeffs, prec))
         return (i2, i4, i6, i10), (power(i2, 5) / i10, power(i2, 3) * i4 / i10, power(i2, 2) * i6 / i10)
 
@@ -374,6 +388,16 @@ def test_invariants_of_images_are_bit_identical_to_the_tables_over_mpc(prec):
         assert [v._mpc_ for v in igusa_clebsch(image)] == [v._mpc_ for v in clebsch]
         assert [v._mpc_ for v in absolute_igusa(image)] == [v._mpc_ for v in triple]
         assert g2curve.absolute_j1(image)._mpc_ == triple[0]._mpc_
+
+
+def test_absolute_j1_of_an_image_takes_only_the_powers_it_reads(monkeypatch):
+    # I2's table reads c3^2 and no other power of a coefficient, and j1 reads I2^5
+    image = _images(GENERIC, 300)[0]
+    exponents = []
+    raw = RoundedComplex.__pow__
+    monkeypatch.setattr(RoundedComplex, "__pow__", lambda x, k: exponents.append(k) or raw(x, k))
+    g2curve.absolute_j1(image)
+    assert exponents == [2, 5]
 
 
 def _adversarial_sextics(prec):

@@ -16,6 +16,10 @@ methods are called by the language and are exempt.
 Likewise, a parameter with a default that no call in those directories
 passes is an override only tests use: every such parameter must be passed,
 by position or by keyword, by some call to a function of that name.
+
+And the rounding kernel of ``exactnum.RoundedComplex`` is named in
+``exactnum`` alone: other modules round complex values through its
+operators.
 """
 
 import ast
@@ -153,3 +157,10 @@ def test_every_traced_name_is_bound_where_the_benchmark_patches_it(monkeypatch):
     missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in spans.boundaries()
                if attr not in owner.__dict__]
     assert not missing, f"names perfbench traces but the library no longer binds: {missing}"
+
+
+def test_only_exactnum_names_the_rounding_kernel():
+    kernel = {"_rounded_sum", "_rounded_quotient", "_product", "_quotient"}
+    named = {path.name: sorted(kernel & set(_identifiers(ast.parse(path.read_text(), str(path)))[0]))
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "exactnum.py"}
+    assert not {name: found for name, found in named.items() if found}, named

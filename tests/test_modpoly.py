@@ -229,9 +229,9 @@ def test_p2_from_image_j1_alone_equals_p2_from_the_full_triples(coeffs, prec):
 def test_p2_build_never_evaluates_i4_or_i6_of_an_image(monkeypatch):
     evaluated = []
 
-    def spy(terms, tables):
-        evaluated.append((terms, isinstance(tables[0][1], RoundedComplex)))
-        return raw(terms, tables)
+    def spy(terms, values):
+        evaluated.append((terms, isinstance(values[0], RoundedComplex)))
+        return raw(terms, values)
 
     raw = g2curve._eval_terms
     monkeypatch.setattr(g2curve, "_eval_terms", spy)
@@ -559,7 +559,7 @@ def test_the_closed_form_image_i10_is_the_sylvester_determinant(monkeypatch):
             if not g[6]:
                 g = moved_model(g, next(t for t in MOVE_SHIFTS if horner(g, t)))
             monic = [x / g[6] for x in g]
-            i2 = g2curve._eval_terms(I2_TERMS, [g2curve._power_table(x, 2) for x in monic[:6]])
+            i2 = g2curve._eval_terms(I2_TERMS, monic)
             i10 = -field_det(g2curve._sylvester_f_fprime(monic, 0))
             assert i2 and i10
             before = len(moved)
@@ -612,8 +612,7 @@ def test_the_exact_evaluation_over_f_p2_is_the_reduction_of_the_one_over_q(coeff
         return [[modp.Fp2(modp._reduce(x, p), 0, p) if x else 0 for x in row] for row in rows]
 
     f = lift([c.coeffs])[0]
-    tables = [g2curve._power_table(x, g2curve._TOP_POWER) for x in f[:6]]
-    got = [g2curve._eval_terms(t, tables) for t in (I2_TERMS, I4_TERMS, I6_TERMS)]
+    got = [g2curve._eval_terms(t, f) for t in (I2_TERMS, I4_TERMS, I6_TERMS)]
     got.append(-field_det(g2curve._sylvester_f_fprime(f, 0)))
     want = [modp._reduce(v, p) for v in g2curve.igusa_clebsch(c)]
     assert [(v.re, v.im) for v in got] == [(w, 0) for w in want]

@@ -47,7 +47,7 @@ def test_report_digests_runs(capsys):
         "image absolute_igusa 300 and 2400 bits",
         "complex_roots 300 bits", "complex_roots 2400 bits",
         "cluster complex_roots 300 bits", "cluster complex_roots 2400 bits",
-        "reconstruct 2^800 cap 4200", "certifying prime 2^800 cap 4200"]
+        "p2_mod_p first 5 usable primes", "reconstruct 2^800 cap 4200", "certifying prime 2^800 cap 4200"]
     assert all(len(row.rsplit(": ", 1)[1]) == 64 for row in rows)
 
 
