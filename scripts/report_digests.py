@@ -26,7 +26,11 @@ elimination
 gives of the same curves at 300 bits and of the first ``--recon`` curves
 at 2400 bits, so the float I10 of the images is compared bit for bit on
 its own, and of the triple ``absolute_igusa`` gives of each of those
-images, at the same precisions. It prints the same digest of the six roots
+images, at the same precisions, and of every Richelot step of the same
+curves at the same precisions, marked ``richelot steps``: each triple's
+quadratics, delta and image, then the quadratics of the image's
+``dual_triple``, and the delta and image of the dual step. It prints the
+same digest of the six roots
 ``complex_roots`` gives at 300 and at 2400 bits over the same curves, and
 over a fixed set of close pairs, marked ``cluster`` (roots b, b + 2^-g,
 5/2, -2, 3, -7/3 for b in {1/3, 2/7} and g in {12, 16, 20, 24, 40, 80}),
@@ -114,6 +118,21 @@ def image_resultants(curve, prec):
             for s in steps if s.image is not None]
 
 
+def richelot_steps(curve, prec):
+    """Each triple's quadratics, delta and image over the steps of ``curve``,
+    each image followed by its ``dual_triple``'s quadratics, delta and image."""
+    values = []
+    for triple in richelot.enumerate_factorizations(curve, prec):
+        step = richelot.richelot_image(triple)
+        values += [c for q in triple.quads for c in q] + [step.delta]
+        if step.image is not None:
+            dual = richelot.dual_triple(step)
+            back = richelot.richelot_image(dual)
+            values += [*step.image.coeffs, *(c for q in dual.quads for c in q), back.delta,
+                       *(back.image.coeffs if back.image is not None else ())]
+    return values
+
+
 def image_invariants(curve, prec):
     """The ``absolute_igusa`` triples of the images of ``curve`` that are not split."""
     return [j for _, triple in richelot.all_isogenous_invariants(curve, prec)
@@ -167,7 +186,8 @@ def main(argv=None):
                 print(f"{label}{' '.join(command)}: {report_digest(command, paths)}")
     print(f"evaluated_P2 300 bits: {bits_digest(p2_coeffs, curves[:args.curves], 300)}")
     print(f"evaluated_P2 2400 bits: {bits_digest(p2_coeffs, curves[:args.recon], 2400)}")
-    for label, values in (("elimination", image_resultants), ("image absolute_igusa", image_invariants)):
+    for label, values in (("elimination", image_resultants), ("image absolute_igusa", image_invariants),
+                          ("richelot steps", richelot_steps)):
         both = (bits_digest(values, curves[:args.curves], 300)
                 + bits_digest(values, curves[:args.recon], 2400))
         print(f"{label} 300 and 2400 bits: {hashlib.sha256(both.encode()).hexdigest()}")

@@ -3,8 +3,9 @@
 A curve is stored by the seven coefficients of f, constant term first,
 leading coefficient exactly 1. Input curves are rational: ``validate_curve``
 and the JSON loaders accept only rational coefficients (Fraction). Complex
-models (mpc coefficients at a stated precision) arise only as Richelot
-images, which ``richelot.richelot_image`` builds directly.
+models (``exactnum.RoundedComplex`` coefficients at a stated precision)
+arise only as Richelot images, which ``richelot.richelot_image`` builds
+directly.
 
 Invariants come in two flavours:
 
@@ -27,10 +28,12 @@ Invariants come in two flavours:
 * ``absolute_igusa``: the weight-zero triple
   j1 = I2^5/I10, j2 = I2^3 I4/I10, j3 = I2^2 I6/I10, each power of I2
   exact (rounded once for a complex curve), as an ``IgusaTriple``: a named
-  tuple, read by name (``.j1``) or as the plain tuple (j1, j2, j3).
-  ``absolute_j1`` is j1 alone, from I2 and I10 only (c3^2 is its one
-  power of a coefficient), bit for bit the same value; the evaluated P2
-  needs nothing else of the 15 Richelot images.
+  tuple, read by name (``.j1``) or as the plain tuple (j1, j2, j3);
+  ``igusa_clebsch`` and ``absolute_igusa`` return a complex curve's values
+  as mpc. ``absolute_j1`` is j1 alone, from I2 and I10 only (c3^2 is its
+  one power of a coefficient), bit for bit the same value, returned as
+  computed (a RoundedComplex for an image); the evaluated P2 needs nothing
+  else of the 15 Richelot images.
   These are invariant under Moebius changes of the x coordinate and under
   quadratic twists, so they classify the curve up to isomorphism over an
   algebraically closed field (away from I2 = 0).
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from mpmath import mp, mpc
+from mpmath import mp
 
 from .exactnum import (
     DEFAULT_PREC,
@@ -294,17 +297,18 @@ def absolute_igusa(curve: Genus2Curve) -> IgusaTriple:
     return IgusaTriple(*_returned(curve, (i2**5 / i10, i2**3 * i4 / i10, i2**2 * i6 / i10)))
 
 
-def absolute_j1(curve: Genus2Curve) -> Scalar:
+def absolute_j1(curve: Genus2Curve) -> Union[Fraction, RoundedComplex]:
     """j1 = I2^5 / I10 alone, equal bit for bit to ``absolute_igusa(curve).j1``.
 
     Only I2 (whose table reads no power but c3^2) and I10 are evaluated,
     and the curve is refused as singular exactly when ``absolute_igusa``
-    refuses it.
+    refuses it. j1 is returned as computed: a Fraction for a rational
+    curve, a RoundedComplex for a complex one.
     """
     i2, i10 = _clebsch(curve, (I2_TERMS,))
     with mp.workprec(curve.working_prec() + WORK_GUARD):
         _require_nonsingular(curve, i10)
-    return _returned(curve, (i2**5 / i10,))[0]
+    return i2**5 / i10
 
 
 def transform_model(curve: Genus2Curve, g: Sequence[Sequence[Union[Fraction, int]]]) -> Genus2Curve:

@@ -58,8 +58,8 @@ class Fp2:
 
     An int operand is an element of F_p, so ``poly_mul``, ``horner`` and
     ``g2curve._eval_terms`` run over this field as they are. Division by
-    zero raises ValueError. Elements compare equal to each other and to
-    ints by value; they are not hashable.
+    zero raises ValueError. Elements are read by their parts ``re`` and
+    ``im``; ``==`` is identity.
     """
 
     __slots__ = ("re", "im", "p")
@@ -71,19 +71,6 @@ class Fp2:
 
     def __bool__(self) -> bool:
         return bool(self.re or self.im)
-
-    def __eq__(self, other):
-        """Equal field elements: an Fp2 with the same p and parts, or an int
-        congruent to the real part when the imaginary part is 0."""
-        if isinstance(other, Fp2):
-            return (self.re, self.im, self.p) == (other.re, other.im, other.p)
-        if isinstance(other, int):
-            return self.im == 0 and self.re == other % self.p
-        return NotImplemented
-
-    # Fp2(3, 0, p) equals both 3 and p + 3, whose hashes differ: no hash is
-    # consistent with int's
-    __hash__ = None
 
     def __add__(self, other):
         if isinstance(other, Fp2):
@@ -97,9 +84,6 @@ class Fp2:
 
     def __sub__(self, other):
         return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, Fp2):

@@ -280,16 +280,15 @@ def _reconstruct_coeffs(p2: ComplexPoly, prec: int,
     out: List[Fraction] = []
     with mp.workprec(prec + WORK_GUARD):
         for c in p2.coeffs:
-            c = mpc(c)
             if not negligible(c.imag, prec, (c.real,)):
                 return None
-            mag = mpf_to_fraction(mpf(abs(c.real)))
-            if resolution * max(Fraction(1), mag) > radius / 2:
+            x = mpf_to_fraction(c.real)
+            if resolution * max(Fraction(1), abs(x)) > radius / 2:
                 return None
-            r = rational_reconstruct(c.real, denom_bound, prec)
+            r = rational_reconstruct(x, denom_bound, prec)
             if r is None:
                 return None
-            if abs(mpf_to_fraction(mpf(c.real)) - r) > radius:
+            if abs(x - r) > radius:
                 return None
             out.append(r)
     return out

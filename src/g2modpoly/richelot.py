@@ -15,6 +15,9 @@ a monic sextic model (the constant is absorbed into a quadratic twist,
 which does not move the absolute invariants). ``all_isogenous_invariants``
 gives the 15 steps out of a curve as (``RichelotStep``, invariant) pairs
 in factorization order, the invariant None exactly for a split step.
+The certified roots are mpc; from them on, the triples, delta and the
+complex image models are ``exactnum.RoundedComplex`` values at ``prec +
+WORK_GUARD`` bits, with no mpc round trip.
 
 ``bracket``, ``richelot_delta`` and ``image_sextic`` are written over any
 ring, so ``modp`` runs the same formulas over F_{p^2}.
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from mpmath import mp, mpc, mpf
 
@@ -49,7 +52,7 @@ from .exactnum import (
 )
 from .g2curve import Genus2Curve, absolute_igusa
 
-Quadratic = Tuple[mpc, mpc, mpc]  # (c0, c1, c2), constant first
+Quadratic = Tuple[RoundedComplex, RoundedComplex, RoundedComplex]  # (c0, c1, c2), constant first
 
 # Bits of the first seed that complex_roots lifts by Newton steps.
 _SEED_BITS = 100
@@ -65,19 +68,24 @@ MOVE_SHIFTS = (0, 1, -1, 2, -2, 3, -3, 4, -4)
 
 @dataclass(frozen=True)
 class QuadraticTriple:
-    """Three monic quadratics whose product is a sextic model."""
+    """Three monic quadratics whose product is a sextic model.
+
+    The coefficients (ints, Fractions, mpc or RoundedComplex values) are
+    held as RoundedComplex at ``prec + WORK_GUARD`` bits; each leading
+    coefficient must be exactly 1.
+    """
 
     quads: Tuple[Quadratic, Quadratic, Quadratic]
     prec: int
 
     def __post_init__(self) -> None:
         quads = tuple(
-            tuple(to_mpc(c, self.prec + WORK_GUARD) for c in q) for q in self.quads
+            tuple(RoundedComplex.of(c, self.prec + WORK_GUARD) for c in q) for q in self.quads
         )
         if len(quads) != 3 or any(len(q) != 3 for q in quads):
             raise ValueError("expected three quadratics with three coefficients each")
         for q in quads:
-            if q[2] != 1:
+            if mpc(q[2]) != 1:
                 raise ValueError("triple quadratics must be monic")
         object.__setattr__(self, "quads", quads)
 
@@ -91,7 +99,7 @@ class RichelotStep:
     """
 
     triple: QuadraticTriple
-    delta: mpc
+    delta: RoundedComplex
     image: Optional[Genus2Curve]
 
     @property
@@ -153,9 +161,10 @@ def complex_roots(curve: Genus2Curve, prec: int) -> Tuple[mpc, ...]:
         return tuple(mpc(r) for r in ordered)
 
 
-def _collision(values: Sequence[mpc], prec: int) -> Optional[Tuple[int, int]]:
+def _collision(values: Sequence[Union[mpc, RoundedComplex]], prec: int) -> Optional[Tuple[int, int]]:
     """The first pair (i, j), i < j, of values that agree to ``tolerance(prec)``
-    relative to their size, or None; differences round at the ambient precision."""
+    relative to their size, or None; differences of mpc values round at the
+    ambient precision, of RoundedComplex values at the values' own precision."""
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
             if negligible(values[i] - values[j], prec, (values[i], values[j])):
@@ -318,18 +327,16 @@ def enumerate_factorizations(curve: Genus2Curve, prec: int) -> Tuple[QuadraticTr
     """The 15 monic quadratic factorizations of f, in canonical order.
 
     Roots are sorted deterministically, so the k-th triple always pairs the
-    same root indices; each quadratic is (x - r)(x - s) expanded.
+    same root indices; each quadratic is (x - r)(x - s) expanded over
+    RoundedComplex at ``prec + WORK_GUARD`` bits.
     """
-    roots = complex_roots(curve, prec)
-    with mp.workprec(prec + WORK_GUARD):
-        triples: List[QuadraticTriple] = []
-        for pairing in pair_partitions_of_six():
-            quads = []
-            for (i, j) in pairing:
-                r, s = roots[i], roots[j]
-                quads.append((r * s, -(r + s), mpc(1)))
-            triples.append(QuadraticTriple(tuple(quads), prec))
-        return tuple(triples)
+    work = prec + WORK_GUARD
+    roots = [RoundedComplex.of(r, work) for r in complex_roots(curve, prec)]
+    one = RoundedComplex.of(1, work)
+    return tuple(
+        QuadraticTriple(tuple((roots[i] * roots[j], -(roots[i] + roots[j]), one)
+                              for i, j in pairing), prec)
+        for pairing in pair_partitions_of_six())
 
 
 def bracket(a: Sequence, b: Sequence) -> tuple:
@@ -376,21 +383,20 @@ def richelot_image(triple: QuadraticTriple) -> RichelotStep:
     [A,B][A,C][B,C] is renormalized monic; if its leading coefficient
     degenerates (a bracket drops degree), the model is first moved by an
     integer Moebius substitution x -> t + 1/x, which changes neither the
-    isomorphism class nor the invariants. It runs over ``RoundedComplex``
-    at ``prec + WORK_GUARD`` bits and returns mpc values.
+    isomorphism class nor the invariants. delta and the image's
+    coefficients are RoundedComplex at ``prec + WORK_GUARD`` bits.
     """
     p = triple.prec
     work = p + WORK_GUARD
-    quads = [[RoundedComplex.of(c, work) for c in q] for q in triple.quads]
     with mp.workprec(work):
-        delta = to_mpc(richelot_delta(quads), work)
+        delta = richelot_delta(triple.quads)
         if negligible(delta, p, [c for q in triple.quads for c in q], 3):
             return RichelotStep(triple, delta, None)
-        g = image_sextic(quads)
+        g = image_sextic(triple.quads)
         if negligible(g[6], p, g):
             g = _restore_degree(g, p)
         lead = g[6]
-        monic = tuple(to_mpc(x / lead, work) for x in g[:6]) + (mpc(1),)
+        monic = tuple(x / lead for x in g[:6]) + (RoundedComplex.of(1, work),)
         return RichelotStep(triple, delta, Genus2Curve(monic, p))
 
 
@@ -432,6 +438,7 @@ def dual_triple(step: RichelotStep) -> QuadraticTriple:
     if step.is_split:
         raise ValueError("split steps have no genus-2 dual factorization")
     p = step.triple.prec
+    one = RoundedComplex.of(1, p + WORK_GUARD)
     with mp.workprec(p + WORK_GUARD):
         a, b, c = step.triple.quads
         quads = []
@@ -439,7 +446,7 @@ def dual_triple(step: RichelotStep) -> QuadraticTriple:
             q = bracket(u, v)
             if negligible(q[2], p, q):
                 raise PrecisionError("degenerate bracket: dual factorization has no monic model")
-            quads.append((q[0] / q[2], q[1] / q[2], mpc(1)))
+            quads.append((q[0] / q[2], q[1] / q[2], one))
         return QuadraticTriple(tuple(quads), p)
 
 

@@ -136,5 +136,5 @@ def field_det(rows: Sequence[Sequence]):
             if row[k]:
                 fct = row[k] * inv
                 for j in cols:
-                    row[j] = row[j] - fct * pivot[j]
+                    row[j] = -fct * pivot[j] + row[j]
     return det

@@ -24,7 +24,7 @@ import time
 from fractions import Fraction as F
 from functools import lru_cache
 
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from g2modpoly import g2curve, modpoly, qseries, richelot, siegel, sp4
 from g2modpoly.exactnum import mpf_to_fraction, poly_mul, to_mpc, tolerance
@@ -195,7 +195,7 @@ def test_criterion_05_fifteen_factorizations(capsys):
         scale = max(abs(v) for v in ref)
         with mp.workprec(prec + 64):
             for t in triples:
-                qa, qb, qc = t.quads
+                qa, qb, qc = ([mpc(x) for x in q] for q in t.quads)
                 prod = poly_mul(poly_mul(qa, qb), qc)
                 err = max(abs(a - b) for a, b in zip(prod, ref)) / scale
                 worst = max(worst, err)

@@ -355,6 +355,7 @@ def _mpc_invariants(image):
     over mpc at the working precision, each power multiplied out exactly and
     rounded once: the reference for the evaluation over RoundedComplex."""
     prec = image.working_prec()
+    coeffs = [mpc(c) for c in image.coeffs]
     with mp.workprec(prec + WORK_GUARD):
         def power(c, e):
             exact = c
@@ -367,7 +368,7 @@ def _mpc_invariants(image):
             total = None
             for mono, coeff in terms.items():
                 acc = None
-                for c, e in zip(image.coeffs, mono):
+                for c, e in zip(coeffs, mono):
                     if e:
                         part = c if e == 1 else power(c, e)
                         acc = part if acc is None else acc * part

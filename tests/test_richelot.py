@@ -292,7 +292,7 @@ def test_factorizations_multiply_back_to_the_model():
     tol = tolerance(PREC)
     with mp.workprec(PREC + 64):
         for tri in triples:
-            qa, qb, qc = tri.quads
+            qa, qb, qc = ([mpc(c) for c in q] for q in tri.quads)
             prod = poly_mul(poly_mul(qa, qb), qc)
             assert len(prod) == 7
             for got, want in zip(prod, c.coeffs):
@@ -308,7 +308,7 @@ def test_split_witness_contains_the_rational_factorization():
     with mp.workprec(PREC + 64):
         for tri in triples:
             got = set()
-            for q in tri.quads:
+            for q in ([mpc(c) for c in q] for q in tri.quads):
                 entry = None
                 for c0, c1 in wanted:
                     if abs(q[0] - c0) <= tol * 16 and abs(q[1] - c1) <= tol * 16:
@@ -374,16 +374,16 @@ def test_image_is_monic_sextic_vanishing_on_bracket_roots():
     tri = QuadraticTriple(((0, -1, 1), (6, -5, 1), (20, -9, 1)), PREC)
     step = richelot_image(tri)
     assert not step.is_split
-    img = step.image
-    assert len(img.coeffs) == 7
+    img = [mpc(c) for c in step.image.coeffs]
+    assert len(img) == 7
     with mp.workprec(PREC + 64):
-        assert abs(img.coeffs[6] - 1) <= tolerance(PREC)
+        assert abs(img[6] - 1) <= tolerance(PREC)
         # roots of [A,B] = -4x^2 + 12x - 6 lie on the image model
         disc = mp.sqrt(mpf(144) - 96)
         for sign in (1, -1):
             x = (mpf(12) + sign * disc) / 8
             val = mpc(0)
-            for c in reversed(img.coeffs):
+            for c in reversed(img):
                 val = val * x + c
             scale = max(mpf(1), abs(x)) ** 6
             assert abs(val) <= tolerance(PREC) * scale * 1024
@@ -425,11 +425,12 @@ def _mpc_image(triple):
     """delta and the image's coefficients by the ring-generic formulas over mpc
     at the working precision: the reference for ``richelot_image``."""
     p = triple.prec
+    quads = [[mpc(c) for c in q] for q in triple.quads]
     with mp.workprec(p + WORK_GUARD):
-        delta = richelot_delta(triple.quads)
-        if negligible(delta, p, [c for q in triple.quads for c in q], 3):
+        delta = richelot_delta(quads)
+        if negligible(delta, p, [c for q in quads for c in q], 3):
             return delta, None
-        g = image_sextic(triple.quads)
+        g = image_sextic(quads)
         if negligible(g[6], p, g):
             values = [abs(horner(g, mpc(t))) for t in MOVE_SHIFTS]
             g = moved_model(g, mpc(MOVE_SHIFTS[values.index(max(values))]))

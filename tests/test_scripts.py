@@ -44,7 +44,7 @@ def test_report_digests_runs(capsys):
                "curve validate", "modpoly l2"]
     assert labels == reports + [f"moved {r}" for r in reports] + [
         "evaluated_P2 300 bits", "evaluated_P2 2400 bits", "elimination 300 and 2400 bits",
-        "image absolute_igusa 300 and 2400 bits",
+        "image absolute_igusa 300 and 2400 bits", "richelot steps 300 and 2400 bits",
         "complex_roots 300 bits", "complex_roots 2400 bits",
         "cluster complex_roots 300 bits", "cluster complex_roots 2400 bits",
         "p2_mod_p first 5 usable primes", "reconstruct 2^800 cap 4200", "certifying prime 2^800 cap 4200"]
