@@ -16,7 +16,7 @@ collected here:
   reconstruction.
 
 All floating point work rounds as mpmath does, at explicit binary precision;
-the Richelot images, their invariants and P2's expansion run on int pairs (``RoundedComplex``).
+the roots' Newton lift, the Richelot images, their invariants and P2 run on int pairs (``RoundedComplex``).
 A value "at precision ``prec``" means the computation ran with at least
 ``prec`` mantissa bits; the associated comparison tolerance is
 ``tolerance(prec)`` = 2**(-prec/2), and ``negligible`` is the one test of
@@ -35,7 +35,7 @@ import math
 import re
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, mpc_abs, mpf_cmp, round_nearest
+from mpmath.libmp import from_man_exp, fzero, mpc_abs, mpf_cmp, round_nearest
 
 Scalar = Union[Fraction, int, mpc, mpf]
 # what the tolerance tests take: a Fraction does not compare with an mpf
@@ -147,21 +147,11 @@ def _binade(v: MpScalar) -> Optional[int]:
     factor sqrt(2). It is -inf for zero, and None for inf, NaN or a value
     that is not an mpmath number.
     """
-    if isinstance(v, RoundedComplex):
-        return max((e + m.bit_length() for m, e in v.parts if m), default=-math.inf)
-    if isinstance(v, mpc):
-        parts = v._mpc_
-    elif isinstance(v, mpf):
-        parts = (v._mpf_,)
-    else:
+    try:
+        parts = v.parts if isinstance(v, RoundedComplex) else mpc_to_pairs(v)
+    except (AttributeError, ValueError):    # not an mpmath number, or inf or NaN
         return None
-    top = -math.inf
-    for _, man, exp, bc in parts:
-        if man:
-            top = max(top, exp + bc)
-        elif bc:
-            return None     # inf and NaN have no mantissa and a nonzero bc
-    return top
+    return max((e + m.bit_length() for m, e in parts if m), default=-math.inf)
 
 
 def negligible(x: MpScalar, prec: int, scale: Iterable[MpScalar] = (), power: int = 1) -> bool:
@@ -203,9 +193,9 @@ def negligible(x: MpScalar, prec: int, scale: Iterable[MpScalar] = (), power: in
     return abs(x) <= tolerance(prec) * magnitude(scale) ** power
 
 
-def mpc_to_pairs(z: mpc) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    """The parts of a finite mpc as signed int pairs (m, e), each m * 2**e."""
-    (s, m, e, b), (t, n, f, c) = z._mpc_
+def mpc_to_pairs(z: Union[mpc, mpf]) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """The parts of a finite mpc or mpf (imaginary 0) as signed int pairs (m, e), each m * 2**e."""
+    (s, m, e, b), (t, n, f, c) = z._mpc_ if isinstance(z, mpc) else (z._mpf_, fzero)
     if not m and b or not n and c:      # inf and NaN: no mantissa, nonzero bc
         raise ValueError(f"{z} is not a finite number")
     return (-int(m) if s else int(m), int(e)), (-int(n) if t else int(n), int(f))
@@ -264,8 +254,9 @@ class RoundedComplex:
     to nearest at ``prec`` bits: ``n + x`` for an int n rounds the real part alone,
     ``n * x`` each part times n once, and ``/`` rounds |y|**2 and the numerators
     down at prec + 10 bits. ``x ** k`` is the exact power rounded once, which
-    x * x is not on ``mpf_add``'s perturbed path. ``mpc(x)`` is x unrounded,
-    and x is false only when it is an exact zero."""
+    x * x is not on ``mpf_add``'s perturbed path. ``x.minus_product(a, b)``
+    is x - a * b with the same two roundings in one call. ``mpc(x)`` is x
+    unrounded, and x is false only when it is an exact zero."""
 
     __slots__ = ("parts", "prec")
 
@@ -274,7 +265,10 @@ class RoundedComplex:
 
     @classmethod
     def of(cls, value: Scalar, prec: int) -> "RoundedComplex":
-        """``value`` at ``prec`` bits, unrounded unless ``to_mpc`` rounds it."""
+        """``value`` at ``prec`` bits, unrounded unless ``to_mpc`` rounds it; an
+        int of at most ``prec`` bits is taken as it is, with no ``to_mpc``."""
+        if isinstance(value, int) and value.bit_length() <= prec:
+            return cls(((value, 0), (0, 0)), prec)
         return cls(value.parts if isinstance(value, cls) else mpc_to_pairs(to_mpc(value, prec)), prec)
 
     @property
@@ -316,6 +310,15 @@ class RoundedComplex:
                                _rounded_sum(am * dm, ae + de, bm * cm, be + ce, self.prec, False)), self.prec)
 
     __rmul__ = __mul__
+
+    def minus_product(self, a: "RoundedComplex", b: "RoundedComplex") -> "RoundedComplex":
+        """``self - a * b`` in one step at this value's precision: the product
+        rounded as ``*`` rounds it, then the difference as ``-`` rounds it."""
+        (am, ae), (bm, be), (cm, ce), (dm, de), (xm, xe), (ym, ye) = *a.parts, *b.parts, *self.parts
+        tm, te = _rounded_sum(am * cm, ae + ce, -bm * dm, be + de, self.prec, False)
+        um, ue = _rounded_sum(am * dm, ae + de, bm * cm, be + ce, self.prec, False)
+        return RoundedComplex((_rounded_sum(xm, xe, -tm, te, self.prec, False),
+                               _rounded_sum(ym, ye, -um, ue, self.prec, False)), self.prec)
 
     def __truediv__(self, other):
         (cm, ce), (dm, de) = other.parts

@@ -183,9 +183,9 @@ def _resultant_f_fprime(coeffs: Sequence[Scalar], prec: int) -> RoundedComplex:
     """Res(f, f') for monic sextic f with complex coefficients, constant first.
 
     Gaussian elimination of the 11x11 Sylvester matrix over RoundedComplex
-    at ``work = prec + WORK_GUARD`` bits, with its operators, so each step
-    rounds bit for bit as the mpc operators ``mpc_mul``, ``mpc_sub`` and
-    ``mpc_div`` round it (each division takes |pivot|**2 itself). Only the
+    at ``work = prec + WORK_GUARD`` bits, so each step rounds bit for bit as
+    the mpc operators ``mpc_mul``, ``mpc_sub`` and ``mpc_div`` round it (an
+    update x - fct*y is one ``minus_product``; a division takes |pivot|**2). Only the
     columns k+1..10 of the rows below the pivot are updated (no later step
     reads the others), and an update x - fct*y by an exact zero y is
     skipped: it rounds x to ``work`` bits, which leaves x as it is unless a
@@ -224,7 +224,7 @@ def _resultant_f_fprime(coeffs: Sequence[Scalar], prec: int) -> RoundedComplex:
             if row[k]:
                 fct = row[k] / pivot[k]
                 for j in cols:
-                    row[j] = row[j] - fct * pivot[j]
+                    row[j] = row[j].minus_product(fct, pivot[j])
     return det
 
 

@@ -15,9 +15,9 @@ a monic sextic model (the constant is absorbed into a quadratic twist,
 which does not move the absolute invariants). ``all_isogenous_invariants``
 gives the 15 steps out of a curve as (``RichelotStep``, invariant) pairs
 in factorization order, the invariant None exactly for a split step.
-The certified roots are mpc; from them on, the triples, delta and the
-complex image models are ``exactnum.RoundedComplex`` values at ``prec +
-WORK_GUARD`` bits, with no mpc round trip.
+The certified roots are mpc (their Newton lift runs on RoundedComplex); from
+them on, the triples, delta and the complex image models are
+``exactnum.RoundedComplex`` values at ``prec + WORK_GUARD`` bits, with no mpc round trip.
 
 ``bracket``, ``richelot_delta`` and ``image_sextic`` are written over any
 ring, so ``modp`` runs the same formulas over F_{p^2}.
@@ -39,16 +39,20 @@ from mpmath import mp, mpc, mpf
 import mpmath
 
 from .exactnum import (
+    _EXPONENT_MARGIN,
     PrecisionError,
     RoundedComplex,
     Scalar,
     WORK_GUARD,
+    _binade,
     first_largest_modulus,
     horner,
     magnitude,
+    mpc_to_pairs,
     negligible,
     poly_mul,
     to_mpc,
+    tolerance,
 )
 from .g2curve import Genus2Curve, absolute_igusa
 
@@ -128,10 +132,10 @@ def complex_roots(curve: Genus2Curve, prec: int) -> Tuple[mpc, ...]:
     """The six roots at precision ``prec``, certified and deterministically sorted.
 
     The roots are those of f with coefficients rounded to ``work = prec +
-    WORK_GUARD`` bits, found by ``_lifted_roots``: a seed good to about
-    100 bits is lifted by Newton steps that double the precision up to
-    ``work + WORK_GUARD`` bits, then rounded with ``polyroots``' own
-    clean-up to ``work`` bits. The first seed comes from double precision
+    WORK_GUARD`` bits, found by ``_lifted_roots``: a seed good to about 100
+    bits is lifted by Newton steps on RoundedComplex that double the precision
+    up to ``work + WORK_GUARD`` bits, then rounded with ``polyroots``' own
+    clean-up to ``work`` bits, on mpc. The first seed comes from double precision
     (``_double_seeds``). When it is refused (coefficients beyond double
     range, no convergence, a cluster) or its lift is (seeds or lifted roots
     not separated, a lift that Newton does not contract), the seeds come
@@ -161,12 +165,27 @@ def complex_roots(curve: Genus2Curve, prec: int) -> Tuple[mpc, ...]:
         return tuple(mpc(r) for r in ordered)
 
 
-def _collision(values: Sequence[Union[mpc, RoundedComplex]], prec: int) -> Optional[Tuple[int, int]]:
+def _collision(values: Sequence[Union[mpc, mpf, RoundedComplex]], prec: int) -> Optional[Tuple[int, int]]:
     """The first pair (i, j), i < j, of values that agree to ``tolerance(prec)``
-    relative to their size, or None; differences of mpc values round at the
-    ambient precision, of RoundedComplex values at the values' own precision."""
+    relative to their size, ``negligible(values[i] - values[j], prec, (values[i],
+    values[j]))``, or None: a rounded difference has the binade K or K + 1 of the
+    exact one, so the verdict is read from K and the values' binades, taken once,
+    unless K is within a binade of its bounds or a value is not finite. Differences
+    of mpc values round at the ambient precision, of RoundedComplex at their own."""
+    tops = [_binade(v) for v in values]
+    parts = [t is not None and (v.parts if isinstance(v, RoundedComplex) else mpc_to_pairs(v))
+             for v, t in zip(values, tops)]
+    tol = _binade(tolerance(prec))
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
+            if parts[i] and parts[j]:
+                c = tol + max(0, tops[i], tops[j])
+                k = _binade(RoundedComplex(tuple(((m << f - min(f, g)) - (n << g - min(f, g)), min(f, g))
+                                                 for (m, f), (n, g) in zip(parts[i], parts[j])), prec))
+                if k + 2 + _EXPONENT_MARGIN <= c:
+                    return i, j
+                if k >= c + 1 + _EXPONENT_MARGIN:
+                    continue
             if negligible(values[i] - values[j], prec, (values[i], values[j])):
                 return i, j
     return None
@@ -217,7 +236,8 @@ def _lift(coeffs: Sequence[mpc], deriv: Sequence[mpc], seeds: Optional[Sequence[
     with mp.workprec(bits):
         if seeds is None or _collision(seeds, bits) is not None:
             return None
-        lifted = [_newton_lift(coeffs, deriv, r, bits, work) for r in seeds]
+        pairs = [[RoundedComplex.of(c, work) for c in cs] for cs in (coeffs, deriv)]
+        lifted = [_newton_lift(*pairs, r, bits, work) for r in seeds]
         if None in lifted or _collision(lifted, bits) is not None:
             return None
         return lifted
@@ -275,16 +295,19 @@ def _double_seeds(coeffs: Sequence[mpc], deriv: Sequence[mpc]) -> Optional[List[
     return seeds
 
 
-def _newton_lift(coeffs: Sequence[mpc], deriv: Sequence[mpc], root: Scalar,
-                 bits: int, work: int) -> Optional[mpc]:
+def _newton_lift(coeffs: Sequence[RoundedComplex], deriv: Sequence[RoundedComplex],
+                 root: Union[mpc, mpf], bits: int, work: int) -> Optional[mpc]:
     """Newton-lift a root good to about ``bits`` bits, then clean and round it.
 
+    Each step runs on RoundedComplex (``coeffs``, ``deriv`` and the root
+    unrounded; ``horner`` rounds at its argument's precision): f(r) at p
+    bits, f'(r) and f(r)/f'(r) at p//2 + 32, and r - f(r)/f'(r) at p.
     The last step, at ``work + WORK_GUARD`` bits, checks the one before:
     it must move the root by less than 2**-work relative, or the lift is
     refused with None. Then ``polyroots``' clean-up zeroes a modulus, an
     imaginary or a real part below 2**(1-work), and the root is rounded to
-    ``work`` bits. ``bits`` must exceed 64, the fixed point of the step
-    schedule p -> p//2 + 32: from 64 bits or fewer the schedule would
+    ``work`` bits, on mpc. ``bits`` must exceed 64, the fixed point of the
+    step schedule p -> p//2 + 32: from 64 bits or fewer the schedule would
     never reach ``bits``, so such a claim raises ValueError.
     """
     if bits <= 64:
@@ -295,19 +318,17 @@ def _newton_lift(coeffs: Sequence[mpc], deriv: Sequence[mpc], root: Scalar,
         # a step from p/2 + 32 bits reaches p bits unless conditioning costs
         # it more than 32; the check step then refuses the lift
         steps.append(steps[-1] // 2 + 32)
-    r = root
+    r = RoundedComplex(mpc_to_pairs(root), work)
     for p in reversed(steps[:-1]):
-        with mp.workprec(p):
-            value = horner(coeffs, r)
+        value = horner(coeffs, RoundedComplex(r.parts, p))
         # the correction is below 2**-(p/2) relative, so p/2 + 32 bits of it
         # carry r to p bits
-        with mp.workprec(p // 2 + 32):
-            slope = horner(deriv, r)
-            if slope == 0:
-                return None
-            step = value / slope
-        with mp.workprec(p):
-            r = r - step
+        slope = horner(deriv, RoundedComplex(r.parts, p // 2 + 32))
+        if not slope:
+            return None
+        step = RoundedComplex(value.parts, slope.prec) / slope
+        r = RoundedComplex(r.parts, p) - step
+    r, step = to_mpc(r, work), to_mpc(step, work)
     with mp.workprec(64):
         if step != 0 and abs(step) >= abs(r) * mpf(2) ** -work:
             return None

@@ -18,7 +18,8 @@ package itself uses coefficient formulas frozen in g2modpoly/igusa_data.py;
 this module is the independent cross-check those formulas were derived from
 and are tested against. ``field_det``, a determinant by elimination over
 any exact field, is the reference for the determinants and resultants the
-package computes in other ways.
+package computes in other ways. ``spy_mpc_operators`` records mpmath's mpc
+arithmetic, for the tests that show a layer runs without it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from typing import List, Sequence, Tuple
+
+import mpmath
+from mpmath import mp, mpc
 
 
 def pair_partitions(items: Sequence[int]) -> List[List[Tuple[int, int]]]:
@@ -138,3 +142,18 @@ def field_det(rows: Sequence[Sequence]):
                 for j in cols:
                     row[j] = -fct * pivot[j] + row[j]
     return det
+
+
+def spy_mpc_operators(monkeypatch) -> list:
+    """The names of mpmath's mpc operators called from now on, in call order."""
+    calls = []
+    for module in (mpmath.ctx_mp_python, mpmath.ctx_mp):
+        for name in ("mpc_add", "mpc_add_mpf", "mpc_sub", "mpc_sub_mpf", "mpc_mul", "mpc_mul_mpf",
+                     "mpc_mul_int", "mpc_div", "mpc_div_mpf", "mpc_pow_int", "mpc_neg", "mpc_pos"):
+            raw = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, raw=raw, name=name: calls.append(name) or raw(*args))
+    with mp.workprec(64):
+        assert mpc(1) + mpc(2) == 3 and calls     # the spies see mpmath's operators
+    calls.clear()
+    return calls

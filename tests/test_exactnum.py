@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_int, from_man_exp, fzero, mpc_abs, mpf_mul, mpf_neg
+from mpmath.libmp import (
+    from_int, from_man_exp, fzero, mpc_abs, mpc_mul, mpc_sub, mpf_mul, mpf_neg, round_nearest,
+)
 
 from g2modpoly import exactnum
 from g2modpoly.exactnum import (
@@ -386,19 +388,20 @@ def _rounded_complex_operands(prec):
     return out
 
 
+def _takes_perturbed_path(s, t, prec):
+    """Whether mpf_add(s, t, prec) moves the larger of two raw mpfs one unit
+    instead of rounding the sum: tops more than prec + 4 and exponents more
+    than 100 apart."""
+    (_, sm, se, sb), (_, tm, te, tb) = s, t
+    return bool(sm and tm) and (se - te > 100 and se + sb - te - tb > prec + 4
+                                or te - se > 100 and te + tb - se - sb > prec + 4)
+
+
 @pytest.mark.parametrize("prec", [300, 301, 555, 2464])
 def test_rounded_complex_operators_round_as_mpc_operators(prec):
     values = _rounded_complex_operands(prec)
     rounded = [RoundedComplex.of(v, prec) for v in values]
     perturbed = 0
-
-    def takes_perturbed_path(s, t):
-        """Whether mpf_add(s, t, prec) moves the larger of two raw mpfs one unit
-        instead of rounding the sum: tops more than prec + 4 and exponents more
-        than 100 apart."""
-        (_, sm, se, sb), (_, tm, te, tb) = s, t
-        return bool(sm and tm) and (se - te > 100 and se + sb - te - tb > prec + 4
-                                    or te - se > 100 and te + tb - se - sb > prec + 4)
 
     def check(got, want, *case):
         assert isinstance(got, RoundedComplex) and got.prec == prec, case
@@ -419,10 +422,32 @@ def test_rounded_complex_operators_round_as_mpc_operators(prec):
                 check(rx - ry, x - y, x, y)
                 check(rx * ry, x * y, x, y)
                 (a, b), (c, d) = x._mpc_, y._mpc_
-                perturbed += takes_perturbed_path(mpf_mul(a, c), mpf_neg(mpf_mul(b, d)))
+                perturbed += _takes_perturbed_path(mpf_mul(a, c), mpf_neg(mpf_mul(b, d)), prec)
                 if y != 0:
                     check(rx / ry, x / y, x, y)
     assert perturbed > 100
+
+
+@pytest.mark.parametrize("prec", [364, 2464])
+def test_minus_product_rounds_as_mpc_sub_of_mpc_mul(prec):
+    # x - a*b as mpc_sub(x, mpc_mul(a, b)): operands wider than prec, exact
+    # zeros (x == a*b among them), and differences on mpf_add's perturbed path
+    values = _rounded_complex_operands(prec)
+    rng = random.Random(prec)
+    triples = [[rng.choice(values) for _ in range(3)] for _ in range(3000)]
+    triples += [[mp.make_mpc(mpc_mul(a._mpc_, b._mpc_, prec, round_nearest)), a, b]
+                for _, a, b in triples[:100]]
+    perturbed = cancelled = 0
+    for x, a, b in triples:
+        product = mpc_mul(a._mpc_, b._mpc_, prec, round_nearest)
+        want = mpc_sub(x._mpc_, product, prec, round_nearest)
+        got = RoundedComplex.of(x, prec).minus_product(RoundedComplex.of(a, prec),
+                                                       RoundedComplex.of(b, prec))
+        assert got.prec == prec and got._mpc_ == want, (x, a, b)
+        perturbed += any(_takes_perturbed_path(s, mpf_neg(t), prec) for s, t in zip(x._mpc_, product))
+        cancelled += want == (fzero, fzero) and x != 0
+    assert perturbed > 100 and cancelled >= 50
+    assert any(mpc_to_pairs(v)[0][0].bit_length() > prec for v in values)
 
 
 @pytest.mark.parametrize("prec", [300, 2464])
@@ -492,6 +517,19 @@ def test_to_mpc_passes_mpc_values_through_unchanged():
     back = to_mpc(z, 53)
     assert mpf_to_fraction(back.real) == mpf_to_fraction(z.real)
     assert mpf_to_fraction(back.imag) == mpf_to_fraction(z.imag)
+
+
+def test_rounded_complex_of_an_int_of_prec_bits_makes_no_to_mpc_call(monkeypatch):
+    # the same value as through to_mpc; an int wider than prec is still rounded by it
+    small = [0, 1, -1, 6, -2**299 - 1, 2**300 - 1]
+    wide = 2**400 + 1
+    want = {n: to_mpc(n, 300)._mpc_ for n in small + [wide]}
+    with monkeypatch.context() as patched:
+        patched.setattr(exactnum, "to_mpc", lambda *args: pytest.fail("to_mpc was called"))
+        for n in small:
+            assert RoundedComplex.of(n, 300)._mpc_ == want[n]
+    got = RoundedComplex.of(wide, 300)
+    assert got._mpc_ == want[wide] and mpf_to_fraction(mp.make_mpf(got._mpc_[0])) != wide
 
 
 def test_string_rendering_roundtrip_at_300_bits():

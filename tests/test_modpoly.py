@@ -5,7 +5,6 @@ import random
 from fractions import Fraction
 from types import SimpleNamespace
 
-import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 
@@ -44,7 +43,7 @@ from g2modpoly.richelot import (
     richelot_delta,
 )
 
-from oracles import field_det
+from oracles import field_det, spy_mpc_operators
 
 F = Fraction
 
@@ -241,26 +240,11 @@ def test_p2_build_never_evaluates_i4_or_i6_of_an_image(monkeypatch):
     assert all(terms is I2_TERMS for terms in on_images)
 
 
-def _spy_mpc_operators(monkeypatch) -> list:
-    """The names of mpmath's mpc operators called from now on, in call order."""
-    calls = []
-    for module in (mpmath.ctx_mp_python, mpmath.ctx_mp):
-        for name in ("mpc_add", "mpc_add_mpf", "mpc_sub", "mpc_sub_mpf", "mpc_mul", "mpc_mul_mpf",
-                     "mpc_mul_int", "mpc_div", "mpc_div_mpf", "mpc_pow_int", "mpc_neg", "mpc_pos"):
-            raw = getattr(module, name)
-            monkeypatch.setattr(module, name,
-                                lambda *args, raw=raw, name=name: calls.append(name) or raw(*args))
-    with mp.workprec(64):
-        assert mpc(1) + mpc(2) == 3 and calls     # the spies see mpmath's operators
-    calls.clear()
-    return calls
-
-
 def test_images_their_invariants_and_the_expansion_do_no_mpc_arithmetic(monkeypatch):
     # after the roots and the factorizations, P2 is built over RoundedComplex:
     # mpc values are only converted at the boundaries
     triples = richelot.enumerate_factorizations(curve(*GENERIC), 300)
-    calls = _spy_mpc_operators(monkeypatch)
+    calls = spy_mpc_operators(monkeypatch)
     images = [richelot.richelot_image(t).image for t in triples]
     ComplexPoly.from_roots([g2curve.absolute_j1(image) for image in images], 300)
     g2curve.absolute_igusa(images[0])
@@ -275,7 +259,7 @@ def test_p2_from_the_roots_and_a_dual_step_do_no_mpc_arithmetic(monkeypatch):
     roots = richelot.complex_roots(c, 300)
     monkeypatch.setattr(richelot, "complex_roots", lambda _, prec: roots)
     step = richelot.richelot_image(richelot.enumerate_factorizations(c, 300)[0])
-    calls = _spy_mpc_operators(monkeypatch)
+    calls = spy_mpc_operators(monkeypatch)
     modpoly._p2(c, 300)
     richelot.richelot_image(richelot.dual_triple(step))
     assert calls == []

@@ -11,7 +11,16 @@ import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 
-from g2modpoly.exactnum import WORK_GUARD, PrecisionError, horner, negligible, poly_mul, to_mpc, tolerance
+from g2modpoly.exactnum import (
+    WORK_GUARD,
+    PrecisionError,
+    RoundedComplex,
+    horner,
+    negligible,
+    poly_mul,
+    to_mpc,
+    tolerance,
+)
 from g2modpoly import richelot
 from g2modpoly.g2curve import Genus2Curve, absolute_igusa
 from g2modpoly.richelot import (
@@ -29,7 +38,7 @@ from g2modpoly.richelot import (
     richelot_image,
 )
 
-from oracles import coeffs_from_roots, field_det
+from oracles import coeffs_from_roots, field_det, spy_mpc_operators
 
 F = Fraction
 PREC = 300
@@ -236,8 +245,8 @@ def test_newton_lift_refuses_a_claim_at_the_schedule_fixed_point(bits):
     # p -> p//2 + 32 stops at 64: the claim is refused before the schedule
     # is built; should that guard go, the alarm ends the endless schedule
     # loop within a second instead of hanging the suite
-    coeffs = [to_mpc(F(c), 364) for c in GENERIC]
-    deriv = [k * c for k, c in enumerate(coeffs)][1:]
+    coeffs = [RoundedComplex.of(F(c), 364) for c in GENERIC]
+    deriv = [c * k for k, c in enumerate(coeffs)][1:]
 
     def endless(signum, frame):
         raise TimeoutError("the Newton-lift schedule did not end")
@@ -256,8 +265,8 @@ def test_newton_lift_refuses_a_seed_it_does_not_bring_to_the_working_precision()
     # a seed 2^-5 off a root, claimed at 100 bits: the check step still
     # moves it by far more than 2^-work
     work = PREC + WORK_GUARD
-    coeffs = [to_mpc(F(c), work) for c in GENERIC]
-    deriv = [k * c for k, c in enumerate(coeffs)][1:]
+    coeffs = [RoundedComplex.of(F(c), work) for c in GENERIC]
+    deriv = [c * k for k, c in enumerate(coeffs)][1:]
     root = complex_roots(curve(*GENERIC), PREC)[0]
     with mp.workprec(work):
         seed = root * (1 + mpf(2) ** -5)
@@ -267,9 +276,49 @@ def test_newton_lift_refuses_a_seed_it_does_not_bring_to_the_working_precision()
 def test_newton_lift_refuses_a_seed_where_the_slope_vanishes():
     # f'(0) = c1 = 0 for the split witness, so the first step has no slope
     work = PREC + WORK_GUARD
-    coeffs = [to_mpc(F(c), work) for c in SPLIT_WITNESS]
-    deriv = [k * c for k, c in enumerate(coeffs)][1:]
+    coeffs = [RoundedComplex.of(F(c), work) for c in SPLIT_WITNESS]
+    deriv = [c * k for k, c in enumerate(coeffs)][1:]
     assert richelot._newton_lift(coeffs, deriv, mpc(0), 100, work) is None
+
+
+def test_newton_lift_steps_do_no_mpc_arithmetic(monkeypatch):
+    # the steps run on RoundedComplex: of mpc's operators only the clean-up's
+    # unary plus is left, and the roots are the full polyroots call's
+    c = _pool_curves(1)[0]
+    want = _bits(_polyroots_roots(c, PREC))
+    calls, inside = spy_mpc_operators(monkeypatch), []
+    lift = richelot._newton_lift
+
+    def recorded(*args):
+        start = len(calls)
+        out = lift(*args)
+        inside.append(calls[start:])
+        return out
+
+    monkeypatch.setattr(richelot, "_newton_lift", recorded)
+    assert _bits(complex_roots(c, PREC)) == want
+    assert len(inside) == 6
+    assert [name for names in inside for name in names if name != "mpc_pos"] == []
+
+
+@pytest.mark.parametrize("rounded", [False, True], ids=["mpc", "RoundedComplex"])
+def test_collision_verdicts_are_the_written_ones(rounded):
+    # pairs z, z(1 + t), |t| within five binades of tolerance(PREC), and a
+    # zero: the verdicts read from exact differences are negligible's own
+    rng = random.Random(7)
+    verdicts = set()
+    with mp.workprec(PREC + WORK_GUARD):
+        for _ in range(400):
+            z = mpc(rng.uniform(-4, 4), rng.uniform(-4, 4)) * mpf(2) ** rng.randrange(-8, 9)
+            t = mpf(2) ** -(PREC // 2 + rng.randrange(-5, 6)) * rng.choice([1, -1, 1j, (3 + 4j) / 5])
+            values = [z, z + z * t, mpc(0)]
+            if rounded:
+                values = [RoundedComplex.of(v, PREC + WORK_GUARD) for v in values]
+            written = [(i, j) for i, j in ((0, 1), (0, 2), (1, 2))
+                       if negligible(values[i] - values[j], PREC, (values[i], values[j]))]
+            assert richelot._collision(values, PREC) == (written[0] if written else None)
+            verdicts.add(bool(written))
+    assert verdicts == {True, False}
 
 
 def test_double_seeds_are_good_to_the_claimed_bits():
