@@ -253,10 +253,11 @@ class RoundedComplex:
     ``*``, ``/`` and unary ``-`` round bit for bit as mpmath's mpc operators round
     to nearest at ``prec`` bits: ``n + x`` for an int n rounds the real part alone,
     ``n * x`` each part times n once, and ``/`` rounds |y|**2 and the numerators
-    down at prec + 10 bits. ``x ** k`` is the exact power rounded once, which
-    x * x is not on ``mpf_add``'s perturbed path. ``x.minus_product(a, b)``
-    is x - a * b with the same two roundings in one call. ``mpc(x)`` is x
-    unrounded, and x is false only when it is an exact zero."""
+    down at prec + 10 bits (``x.over(y, norm)`` is x / y given that |y|**2).
+    ``x ** k`` is the exact power rounded once, which x * x is not on
+    ``mpf_add``'s perturbed path. ``x.minus_product(a, b)`` is x - a * b with
+    the same two roundings in one call. ``x.conjugate()`` is exact. ``mpc(x)``
+    is x unrounded, and x is false only when it is an exact zero."""
 
     __slots__ = ("parts", "prec")
 
@@ -321,9 +322,25 @@ class RoundedComplex:
                                _rounded_sum(ym, ye, -um, ue, self.prec, False)), self.prec)
 
     def __truediv__(self, other):
-        (cm, ce), (dm, de) = other.parts
-        norm = _rounded_sum(cm * cm, 2 * ce, dm * dm, 2 * de, self.prec + 10, True)
+        return self.over(other, other.squared_modulus(self.prec))
+
+    def squared_modulus(self, prec: int) -> Tuple[int, int]:
+        """|self|**2 rounded down at ``prec + 10`` bits: the norm that ``/`` at
+        ``prec`` bits takes of its divisor."""
+        (cm, ce), (dm, de) = self.parts
+        return _rounded_sum(cm * cm, 2 * ce, dm * dm, 2 * de, prec + 10, True)
+
+    def over(self, other: "RoundedComplex", norm: Tuple[int, int]) -> "RoundedComplex":
+        """``self / other`` given ``norm = other.squared_modulus(self.prec)``, so
+        that many divisions by one value take its norm once."""
         return RoundedComplex(_quotient(self.parts, other.parts, norm, self.prec), self.prec)
+
+    def conjugate(self) -> "RoundedComplex":
+        """The exact complex conjugate: the imaginary mantissa negated, nothing
+        rounded. Every operation above commutes with it bit for bit, as each
+        rounding is odd under negation."""
+        re, (m, e) = self.parts
+        return RoundedComplex((re, (-m, e)), self.prec)
 
     def __pow__(self, k: int) -> "RoundedComplex":
         (am, ae), (bm, be) = self.parts

@@ -185,7 +185,8 @@ def _resultant_f_fprime(coeffs: Sequence[Scalar], prec: int) -> RoundedComplex:
     Gaussian elimination of the 11x11 Sylvester matrix over RoundedComplex
     at ``work = prec + WORK_GUARD`` bits, so each step rounds bit for bit as
     the mpc operators ``mpc_mul``, ``mpc_sub`` and ``mpc_div`` round it (an
-    update x - fct*y is one ``minus_product``; a division takes |pivot|**2). Only the
+    update x - fct*y is one ``minus_product``; the divisions of a column by
+    its pivot take |pivot|**2 once, with the bits ``/`` takes it to). Only the
     columns k+1..10 of the rows below the pivot are updated (no later step
     reads the others), and an update x - fct*y by an exact zero y is
     skipped: it rounds x to ``work`` bits, which leaves x as it is unless a
@@ -219,10 +220,11 @@ def _resultant_f_fprime(coeffs: Sequence[Scalar], prec: int) -> RoundedComplex:
             det = -det
         pivot = a[k]
         det = det * pivot[k]
+        norm = pivot[k].squared_modulus(work)
         cols = [j for j in range(k + 1, size) if not skip_zero or pivot[j]]
         for row in a[k + 1:]:
             if row[k]:
-                fct = row[k] / pivot[k]
+                fct = row[k].over(pivot[k], norm)
                 for j in cols:
                     row[j] = row[j].minus_product(fct, pivot[j])
     return det

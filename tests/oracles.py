@@ -19,7 +19,8 @@ this module is the independent cross-check those formulas were derived from
 and are tested against. ``field_det``, a determinant by elimination over
 any exact field, is the reference for the determinants and resultants the
 package computes in other ways. ``spy_mpc_operators`` records mpmath's mpc
-arithmetic, for the tests that show a layer runs without it.
+arithmetic, for the tests that show a layer runs without it, and
+``unconjugated_triples`` counts the Richelot images a sweep builds.
 """
 
 from __future__ import annotations
@@ -142,6 +143,15 @@ def field_det(rows: Sequence[Sequence]):
                 for j in cols:
                     row[j] = -fct * pivot[j] + row[j]
     return det
+
+
+def unconjugated_triples(triples: Sequence) -> int:
+    """How many of ``triples`` (``richelot.QuadraticTriple``) are not, pair for
+    pair, the exact conjugate of an earlier one: the same int pairs with each
+    imaginary mantissa negated."""
+    keys = [[c.parts for q in t.quads for c in q] for t in triples]
+    return sum(not any(k == [(re, (-m, e)) for re, (m, e) in earlier] for earlier in keys[:i])
+               for i, k in enumerate(keys))
 
 
 def spy_mpc_operators(monkeypatch) -> list:

@@ -16,13 +16,14 @@ from g2modpoly.exactnum import (
     PrecisionError,
     RoundedComplex,
     horner,
+    mpc_to_pairs,
     negligible,
     poly_mul,
     to_mpc,
     tolerance,
 )
-from g2modpoly import richelot
-from g2modpoly.g2curve import Genus2Curve, absolute_igusa
+from g2modpoly import exactnum, richelot
+from g2modpoly.g2curve import Genus2Curve, SingularCurveError, absolute_igusa, absolute_j1
 from g2modpoly.richelot import (
     MOVE_SHIFTS,
     QuadraticTriple,
@@ -38,7 +39,7 @@ from g2modpoly.richelot import (
     richelot_image,
 )
 
-from oracles import coeffs_from_roots, field_det, spy_mpc_operators
+from oracles import coeffs_from_roots, field_det, spy_mpc_operators, unconjugated_triples
 
 F = Fraction
 PREC = 300
@@ -540,6 +541,143 @@ def test_image_invariants_are_closed_under_conjugation():
             conj = mp.conj(v)
             scale = max(mpf(1), abs(v))
             assert any(abs(conj - w) <= tol * scale * 2**20 for w in values)
+
+
+#: sextics with 0, 2, 4 and 6 real roots, keyed by that number
+REAL_ROOT_SEXTICS = {
+    0: tuple(poly_mul(poly_mul([1, 0, 1], [3, 1, 1]), [7, -2, 1])),
+    2: GENERIC,
+    4: tuple(poly_mul(coeffs_from_roots([-2, 1, 3, 5]), [1, 1, 1])),
+    6: tuple(coeffs_from_roots(range(6))),
+}
+
+
+def _value_pairs(value):
+    """The int pairs of an invariant's value: a RoundedComplex or a triple of mpc."""
+    return [value.parts] if isinstance(value, RoundedComplex) else [mpc_to_pairs(z) for z in value]
+
+
+def _step_pairs(step, *values):
+    """A step and its image's invariant values as one list of int pairs: the
+    triple's nine coefficients, delta, then "split" or the image's seven
+    coefficients and the values'."""
+    out = [c.parts for q in step.triple.quads for c in q] + [step.delta.parts]
+    if step.is_split:
+        return out + ["split"]
+    return out + [c.parts for c in step.image.coeffs] + [p for v in values for p in _value_pairs(v)]
+
+
+@pytest.mark.parametrize("invariant", [absolute_j1, absolute_igusa])
+@pytest.mark.parametrize("prec", [300, 2400])
+def test_reused_conjugate_steps_equal_direct_builds(prec, invariant, monkeypatch):
+    # a triple that is the exact conjugate of an earlier one takes that step
+    # and value conjugated: the same int pairs as building it
+    build = richelot.richelot_image
+    built = []
+    monkeypatch.setattr(richelot, "richelot_image", lambda triple: built.append(triple) or build(triple))
+    calls = {}
+    for real, coeffs in REAL_ROOT_SEXTICS.items():
+        c = curve(*coeffs)
+        triples = enumerate_factorizations(c, prec)
+        built.clear()
+        got = [_step_pairs(*pair) for pair in all_isogenous_invariants(c, prec, invariant)]
+        calls[real] = len(built)
+        want = []
+        for triple in triples:
+            step = build(triple)
+            want.append(_step_pairs(step, None if step.is_split else invariant(step.image)))
+        assert got == want, real
+        assert calls[real] == unconjugated_triples(triples), real
+    assert calls[6] == 15
+    assert calls[2] < 15 and calls[4] < 15
+
+
+def _random_coefficient(rng, work, wild):
+    """A random complex value of ``work`` bits: its parts of scale 2**0 to
+    2**20, or, when ``wild``, each part either that or 2**-2work to
+    2**-work, so that sums of products take ``mpf_add``'s perturbed path;
+    a part is 0 one time in five."""
+    parts = []
+    for _ in range(2):
+        m = (rng.getrandbits(work - 1) | 1 << (work - 1)) * rng.choice((1, -1))
+        top = rng.randint(0, 20)
+        if wild and rng.random() < 0.5:
+            top = rng.randint(-2 * work, -work)
+        parts.append((m, top - work) if rng.random() > 0.2 else (0, 0))
+    return RoundedComplex(tuple(parts), work)
+
+
+def _conjugated(values):
+    """Int pairs of complex values with each imaginary mantissa negated; a
+    string marker stays as it is."""
+    return [v if isinstance(v, str) else (v[0], (-v[1][0], v[1][1])) for v in values]
+
+
+def _conjugate_triple(triple):
+    work = triple.prec + WORK_GUARD
+    return QuadraticTriple(tuple(tuple(RoundedComplex(p, work) for p in _conjugated([c.parts for c in q]))
+                                 for q in triple.quads), triple.prec)
+
+
+def _outcome(triple):
+    """The int pairs of the step of ``triple`` (``_step_pairs``), then of j1
+    and of the Igusa triple of its image; an invariant that raises stands
+    as the name of its error."""
+    step = richelot_image(triple)
+    out = _step_pairs(step)
+    for invariant in () if step.is_split else (absolute_j1, absolute_igusa):
+        try:
+            out += _value_pairs(invariant(step.image))
+        except SingularCurveError as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+@pytest.mark.parametrize("prec", [300, 2400])
+def test_richelot_image_and_invariants_commute_with_exact_conjugation(prec, monkeypatch):
+    # random complex triples, tame and of wildly spread scales, fully even
+    # triples (split) and triples whose first bracket drops degree (the model
+    # move): the step, j1 and the Igusa triple of conj T are those of T conjugated
+    work = prec + WORK_GUARD
+    rng = random.Random(prec)
+    one = RoundedComplex.of(1, work)
+    perturbed, moved, raw_sum, restore = [0], [0], exactnum._rounded_sum, richelot._restore_degree
+
+    def rounded_sum(xm, xe, ym, ye, bits, down):
+        gap = xe + xm.bit_length() - ye - ym.bit_length()
+        if xm and ym and gap < 0:
+            xm, xe, ym, ye, gap = ym, ye, xm, xe, -gap
+        low = xe + (xm & -xm).bit_length() - ye - (ym & -ym).bit_length()
+        perturbed[0] += bool(xm and ym and gap > bits + 4 and low > 100)
+        return raw_sum(xm, xe, ym, ye, bits, down)
+
+    def counted_restore(g, p):
+        moved[0] += 1
+        return restore(g, p)
+
+    monkeypatch.setattr(exactnum, "_rounded_sum", rounded_sum)
+    monkeypatch.setattr(richelot, "_restore_degree", counted_restore)
+
+    def coefficient(wild=False):
+        return _random_coefficient(rng, work, wild)
+
+    kinds = [("tame", [(coefficient(), coefficient(), one) for _ in range(3)]) for _ in range(6)]
+    kinds += [("wild", [(coefficient(True), coefficient(True), one) for _ in range(3)]) for _ in range(6)]
+    for _ in range(2):
+        kinds.append(("split", [(coefficient(), 0, one) for _ in range(3)]))
+        t = coefficient()
+        kinds.append(("moved", [(coefficient(), t, one), (coefficient(), t, one),
+                                (coefficient(), coefficient(), one)]))
+    igusa = 0
+    for kind, quads in kinds:
+        triple = QuadraticTriple(tuple(quads), prec)
+        before = moved[0]
+        got = _outcome(_conjugate_triple(triple))
+        assert got == _conjugated(_outcome(triple)), kind
+        assert kind != "split" or got[-1] == "split"
+        assert kind != "moved" or moved[0] == before + 2
+        igusa += len(got) == 9 + 1 + 7 + 1 + 3
+    assert igusa >= 6 and perturbed[0]
 
 
 def test_involution_returns_to_the_source_curve():
